@@ -51,6 +51,7 @@ from .mechanism import (
 from .optimize import FitProblem, FitSolution, build_lp, solve_min_max
 from .queries import family_size_bound, marginal_family, parse_query_spec
 from .synth import (
+    FitGateError,
     GenerateResult,
     PipelineConfig,
     PipelineReport,
@@ -70,6 +71,7 @@ __all__ = [
     "DeviationCheckResult",
     "ExplicitDistribution",
     "FiniteDensity",
+    "FitGateError",
     "FitProblem",
     "FitSolution",
     "GenerateResult",

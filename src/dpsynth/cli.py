@@ -23,7 +23,7 @@ from .distributions import (
     renyi_condition_number_mc,
 )
 from .queries import parse_query_spec
-from .synth import PipelineConfig, PrivacyGateError, generate
+from .synth import FitGateError, PipelineConfig, PrivacyGateError, generate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -271,7 +271,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except PrivacyGateError as exc:
+    except (PrivacyGateError, FitGateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GATE
     except (ValueError, OSError) as exc:

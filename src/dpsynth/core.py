@@ -100,7 +100,7 @@ class Dataset:
 
     @classmethod
     def from_text(cls, text: str) -> "Dataset":
-        lines = text.splitlines()
+        lines = text.rstrip().splitlines()  # trailing blank lines are allowed
         if not lines or not lines[0].strip():
             raise ValueError("line 1: expected comma-separated arities")
         try:

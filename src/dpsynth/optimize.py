@@ -2,9 +2,10 @@
 
 Solves
     minimize t  s.t.  |(A h)_j - b_j| <= t for all j,  h >= 0,  sum(h) = 1
-with a dense primal simplex on the standard form (one slack pair per
-statistic). Any point mass on the reduced domain is feasible, so the solve
-starts from that vertex and needs no phase-1.
+with a revised primal simplex on the standard form (one slack pair per
+statistic) that keeps only the inverse of the (2|F|+1)-square basis. Any
+point mass on the reduced domain is feasible, so the solve starts from that
+vertex and needs no phase-1.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from .core import Dataset, FiniteDensity, QueryFamily
 
 PIVOT_TOL = 1e-9
 OPTIMALITY_GAP = 1e-7
-WEIGHT_CLAMP = 1e-12
 # Consecutive degenerate pivots tolerated before switching to Bland's rule.
 DEGENERACY_TRIP = 40
+# Pivots between recomputations of the basis inverse, bounding rank-1 update drift.
+REFACTOR_INTERVAL = 64
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,21 @@ def build_lp(
     )
 
 
+def _columns(a: np.ndarray, idx) -> np.ndarray:
+    """Standard-form columns idx: points (a_i, -a_i, 1), t (-1, ..., -1, 0), unit slacks."""
+    nf, m = a.shape
+    idx = np.asarray(idx)
+    cols = np.zeros((2 * nf + 1, len(idx)))
+    pts = np.flatnonzero(idx < m)
+    cols[:nf, pts] = a[:, idx[pts]]
+    cols[nf:-1, pts] = -a[:, idx[pts]]
+    cols[-1, pts] = 1.0
+    cols[:-1, idx == m] = -1.0
+    slacks = np.flatnonzero(idx > m)
+    cols[idx[slacks] - m - 1, slacks] = 1.0
+    return cols
+
+
 def solve_min_max(
     problem: FitProblem,
     tolerance: float = OPTIMALITY_GAP,
@@ -96,91 +113,65 @@ def solve_min_max(
     b = problem.targets
     nf, m = a.shape
     n_rows = 2 * nf + 1
-    n_cols = m + 1 + 2 * nf  # h variables, t, upper slacks, lower slacks
-    t_col = m
+    t_col = m  # column order: h variables, t, upper slacks, lower slacks
     if max_iterations is None:
         max_iterations = 5000 + 10 * n_rows
-
-    cons = np.zeros((n_rows, n_cols))
-    rhs = np.zeros(n_rows)
-    cons[:nf, :m] = a
-    cons[:nf, t_col] = -1.0
-    cons[:nf, m + 1 : m + 1 + nf] = np.eye(nf)
-    rhs[:nf] = b
-    cons[nf : 2 * nf, :m] = -a
-    cons[nf : 2 * nf, t_col] = -1.0
-    cons[nf : 2 * nf, m + 1 + nf :] = np.eye(nf)
-    rhs[nf : 2 * nf] = -b
-    cons[2 * nf, :m] = 1.0
-    rhs[2 * nf] = 1.0
+    rhs = np.concatenate([b, -b, [1.0]])
 
     # Feasible starting vertex: all mass on the first support point. The slack
     # of the row with the largest residual leaves the basis (t replaces it).
     resid = a[:, 0] - b
     j_star = int(np.argmax(np.abs(resid)))
-    basis = [0, t_col]
-    for j in range(nf):
-        if not (j == j_star and resid[j_star] >= 0):
-            basis.append(m + 1 + j)
-    for j in range(nf):
-        if not (j == j_star and resid[j_star] < 0):
-            basis.append(m + 1 + nf + j)
-    basis = np.array(basis, dtype=np.int64)
+    leaving = m + 1 + j_star + (nf if resid[j_star] < 0 else 0)
+    slacks = np.arange(m + 1, m + 1 + 2 * nf)
+    basis = np.concatenate([[0, t_col], slacks[slacks != leaving]])
 
-    tab = np.zeros((n_rows + 1, n_cols + 1))
-    tab[:n_rows, :n_cols] = np.linalg.solve(cons[:, basis], cons)
-    tab[:n_rows, -1] = np.linalg.solve(cons[:, basis], rhs)
-    np.maximum(tab[:n_rows, -1], 0.0, out=tab[:n_rows, -1])
+    def factorize():  # [B^-1 | x_B] from the basis columns
+        binv = np.linalg.inv(_columns(a, basis))
+        return np.column_stack([binv, binv @ rhs])
 
-    cost = np.zeros(n_cols)
-    cost[t_col] = 1.0
-    cb = cost[basis]
-    tab[-1, :n_cols] = cost - cb @ tab[:n_rows, :n_cols]
-    tab[-1, -1] = -(cb @ tab[:n_rows, -1])
-
+    inv = factorize()
+    np.maximum(inv[:, -1], 0.0, out=inv[:, -1])
+    stale = 0  # rank-1 updates since the last factorization
     iterations = 0
     degenerate_run = 0
     bland = False
-    status = "optimal"
     while True:
-        reduced = tab[-1, :n_cols]
-        if bland:
-            candidates = np.flatnonzero(reduced < -PIVOT_TOL)
-            if candidates.size == 0:
-                break
-            q = int(candidates[0])
-        else:
-            q = int(np.argmin(reduced))
-            if reduced[q] >= -PIVOT_TOL:
-                break
-        if iterations >= max_iterations:
-            status = "iteration-limit"
+        if stale >= REFACTOR_INTERVAL:
+            inv, stale = factorize(), 0
+        y = (basis == t_col) @ inv[:, :-1]  # duals c_B B^-1; the cost vector is e_t
+        points = (y[nf:-1] - y[:nf]) @ a - y[-1]  # one product prices every point
+        reduced = np.concatenate([points, [1.0 + y[:-1].sum()], -y[:-1]])
+        reduced[basis] = 0.0  # what basic columns price to in exact arithmetic
+        # Bland's rule: the first improving column; Dantzig's: the most negative.
+        q = int(np.argmax(reduced < -PIVOT_TOL) if bland else np.argmin(reduced))
+        optimal = reduced[q] >= -PIVOT_TOL
+        if optimal or iterations >= max_iterations:
+            if stale:  # price again, and read the weights, on a fresh factorization
+                stale = REFACTOR_INTERVAL
+                continue
+            status = "optimal" if optimal else "iteration-limit"
             break
-        col = tab[:n_rows, q]
+        col = inv[:, :-1] @ _columns(a, [q])[:, 0]
         pos = col > PIVOT_TOL
         if not pos.any():
             raise RuntimeError("fit problem is unbounded; inputs are malformed")
         ratios = np.full(n_rows, np.inf)
-        ratios[pos] = np.maximum(tab[:n_rows, -1][pos], 0.0) / col[pos]
+        ratios[pos] = np.maximum(inv[pos, -1], 0.0) / col[pos]
         best = ratios.min()
         ties = np.flatnonzero(ratios == best)
         leave = int(ties[np.argmin(basis[ties])])
-        if best <= 1e-12:
-            degenerate_run += 1
-            if degenerate_run > DEGENERACY_TRIP:
-                bland = True
-        else:
-            degenerate_run = 0
-        pivot = tab[leave, q]
-        tab[leave] /= pivot
-        factors = tab[:, q].copy()
-        factors[leave] = 0.0
-        tab -= np.outer(factors, tab[leave])
+        degenerate_run = degenerate_run + 1 if best <= 1e-12 else 0
+        bland = bland or degenerate_run > DEGENERACY_TRIP
+        pivot_row = inv[leave] / col[leave]
+        inv -= np.outer(col, pivot_row)
+        inv[leave] = pivot_row
         basis[leave] = q
         iterations += 1
+        stale += 1
 
-    x = np.zeros(n_cols)
-    x[basis] = tab[:n_rows, -1]
+    x = np.zeros(m + 1 + 2 * nf)
+    x[basis] = inv[:, -1]
     weights = x[:m].copy()
     if (weights < -1e-9).any():
         raise RuntimeError("solver produced negative weights beyond tolerance")

@@ -22,6 +22,10 @@ class PrivacyGateError(RuntimeError):
     """Raised when a requested epsilon cannot be met by the dataset size."""
 
 
+class FitGateError(RuntimeError):
+    """Raised when the min-max fit stops before reaching its optimum."""
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Knobs for one generation run.
@@ -120,7 +124,8 @@ def bootstrap(density: FiniteDensity, count: int, rng) -> Dataset:
     rng = np.random.default_rng(rng)
     cdf = np.cumsum(density.weights)
     idx = np.searchsorted(cdf, rng.random(count), side="right")
-    idx = np.minimum(idx, len(cdf) - 1)
+    # A CDF summing to just under 1 must not hand out a trailing zero-weight point.
+    idx = np.minimum(idx, np.flatnonzero(density.weights > 0)[-1])
     return Dataset(density.support.schema, density.support.rows[idx])
 
 
@@ -227,6 +232,8 @@ def generate(
     reduced = sampling.sample(config.reduced_size, np.random.default_rng(domain_seq))
     problem = build_lp(queries, reduced, noisy)
     solution = solve_min_max(problem)
+    if solution.status != "optimal":
+        raise FitGateError(f"min-max fit stopped: {solution.status} after {solution.iterations} pivots")
     synthetic = bootstrap(
         solution.density, config.synthetic_size, np.random.default_rng(boot_seq)
     )

@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from dpsynth import Dataset, ProductDistribution
+from dpsynth import Dataset, ProductDistribution, optimize, synth
 from dpsynth.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, main
 
 
@@ -70,6 +72,16 @@ class TestGenerateCommand:
         code, _, _ = run_generate(data_file, tmp_path, extra=["--epsilon", "0.05"])
         assert code == EXIT_GATE
         assert "needs n >=" in capsys.readouterr().err
+
+    def test_iteration_limit_exit_code(self, data_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            synth, "solve_min_max", functools.partial(optimize.solve_min_max, max_iterations=0)
+        )
+        code, out, _ = run_generate(data_file, tmp_path)
+        assert code == EXIT_GATE
+        err = capsys.readouterr().err
+        assert err == "error: min-max fit stopped: iteration-limit after 0 pivots\n"
+        assert not out.exists()
 
     def test_allow_privacy_failure_overrides_gate(self, data_file, tmp_path):
         code, out, report = run_generate(

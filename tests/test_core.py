@@ -100,6 +100,13 @@ class TestDatasetText:
         with pytest.raises(ValueError, match="line 3: expected comma-separated"):
             Dataset.from_text("2,2\n0,0\n0,x\n")
 
+    def test_trailing_blank_lines_accepted(self):
+        assert Dataset.from_text("2,2\n0,1\n\n") == Dataset((2, 2), [[0, 1]])
+
+    def test_inner_blank_line_rejected(self):
+        with pytest.raises(ValueError, match="line 2: expected comma-separated"):
+            Dataset.from_text("2,2\n\n0,1\n")
+
     def test_out_of_range_rows_rejected(self):
         with pytest.raises(ValueError, match="invalid dataset"):
             Dataset.from_text("2,2\n0,5\n")

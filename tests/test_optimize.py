@@ -4,12 +4,17 @@ import pytest
 from dpsynth import (
     Dataset,
     FitProblem,
+    ProductDistribution,
     QueryFamily,
     TestFunction,
     build_lp,
+    evaluate_all,
     marginal_family,
+    perturb,
+    sigma_for,
     solve_min_max,
 )
+from dpsynth.optimize import REFACTOR_INTERVAL
 from grid_oracle import grid_minimax, grid_minimax_dense
 
 
@@ -183,3 +188,51 @@ class TestSolveMinMax:
         for _ in range(20):
             problem = random_problem(rng)
             assert solve_min_max(problem).objective >= 0.0
+
+
+def pipeline_sized_problem(seed, p=16, d=2, n=1000, m=8000):
+    """The fit generate() builds for order-d marginals on random Boolean data."""
+    rng = np.random.default_rng(seed)
+    family = marginal_family(p, d, "monotone")
+    schema = (2,) * p
+    data = Dataset(schema, rng.integers(0, 2, size=(n, p)))
+    targets = perturb(evaluate_all(family, data), sigma_for(0.2, len(family), 0.1), rng)
+    domain = ProductDistribution.uniform(schema).sample(m, rng)
+    return build_lp(family, domain, targets)
+
+
+def highs_min_max(problem):
+    """Optimal worst residual from scipy's HiGHS on the same LP in inequality form."""
+    from scipy.optimize import linprog
+
+    a, b = problem.values, problem.targets
+    nf, m = a.shape
+    cost = np.zeros(m + 1)
+    cost[-1] = 1.0
+    t_col = -np.ones((nf, 1))
+    result = linprog(
+        cost,
+        A_ub=np.block([[a, t_col], [-a, t_col]]),
+        b_ub=np.concatenate([b, -b]),
+        A_eq=np.append(np.ones(m), 0.0)[None, :],
+        b_eq=[1.0],
+        bounds=(0, None),
+        method="highs",
+    )
+    assert result.status == 0
+    return result.fun
+
+
+class TestAgainstHighs:
+    def test_pipeline_sized_fits_match_highs(self):
+        pytest.importorskip("scipy")
+        pivots = []
+        for seed in (6, 7):
+            problem = pipeline_sized_problem(seed)
+            assert problem.values.shape[0] == 137
+            solution = solve_min_max(problem)
+            assert solution.status == "optimal"
+            assert solution.objective == pytest.approx(highs_min_max(problem), abs=1e-9)
+            pivots.append(solution.iterations)
+        # the basis inverse must have been refactorized along the way
+        assert max(pivots) > REFACTOR_INTERVAL

@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 from dpsynth import (
     Dataset,
     FiniteDensity,
+    FitGateError,
     PipelineConfig,
     PrivacyGateError,
     ProductDistribution,
@@ -13,6 +16,7 @@ from dpsynth import (
     marginal_family,
     validate_params,
 )
+from dpsynth import optimize, synth
 
 
 def base_config(**overrides):
@@ -129,6 +133,20 @@ class TestBootstrap:
         draws = bootstrap(density, 20_000, np.random.default_rng(3))
         assert draws.rows.mean() == pytest.approx(0.75, abs=0.02)
 
+    def test_never_draws_a_trailing_zero_weight_point(self):
+        # ten weights of 0.1 sum to 1 exactly but accumulate to just under 1
+        weights = [0.1] * 10 + [0.0]
+        density = FiniteDensity(Dataset((11,), [[i] for i in range(11)]), weights)
+        top = np.cumsum(weights)[-1]
+        assert top < 1.0
+
+        class TopUniform(np.random.Generator):
+            def random(self, size=None):
+                return np.full(size, top)
+
+        draws = bootstrap(density, 5, TopUniform(np.random.PCG64(0)))
+        assert (draws.rows == 9).all()
+
     def test_count_validation(self):
         support = Dataset((2,), [[0]])
         density = FiniteDensity(support, [1.0])
@@ -228,6 +246,14 @@ class TestGenerate:
         )
         with pytest.raises(PrivacyGateError, match="needs n >="):
             generate(data, family, sampling, gated)
+
+    def test_iteration_limit_is_a_gate_failure(self, pipeline_inputs, monkeypatch):
+        data, family, sampling, config = pipeline_inputs
+        monkeypatch.setattr(
+            synth, "solve_min_max", functools.partial(optimize.solve_min_max, max_iterations=0)
+        )
+        with pytest.raises(FitGateError, match="iteration-limit after 0 pivots"):
+            generate(data, family, sampling, config)
 
     def test_allow_privacy_failure_proceeds(self, pipeline_inputs):
         data, family, sampling, config = pipeline_inputs
