@@ -36,11 +36,7 @@ class Dataset:
     """
 
     def __init__(self, schema: Sequence[int], rows) -> None:
-        self._schema = tuple(int(a) for a in schema)
-        if len(self._schema) == 0:
-            raise ValueError("schema must have at least one coordinate")
-        if any(a < 1 for a in self._schema):
-            raise ValueError("coordinate arities must be >= 1")
+        self._schema = _check_schema(schema)
         arr = np.array(rows, dtype=np.int64, copy=True)
         if arr.size == 0:
             arr = arr.reshape(0, len(self._schema))
@@ -94,31 +90,176 @@ class Dataset:
 
     def to_text(self) -> str:
         """Serialize: arity line, then one comma-separated row per record."""
-        lines = [",".join(str(a) for a in self._schema)]
-        lines.extend(",".join(str(v) for v in row) for row in self._rows)
-        return "\n".join(lines) + "\n"
+        step = max(1, _TEXT_BLOCK // len(self._schema))
+        parts = [",".join(str(a) for a in self._schema) + "\n"]
+        for start in range(0, len(self), step):
+            parts.append(_render_block(self._rows[start : start + step]))
+        return "".join(parts)
 
     @classmethod
     def from_text(cls, text: str) -> "Dataset":
-        lines = text.rstrip().splitlines()  # trailing blank lines are allowed
-        if not lines or not lines[0].strip():
+        r"""Parse the text written by ``to_text``.
+
+        Cells are ASCII decimal integers separated by ``,``; rows end in
+        ``\n`` or ``\r\n``; spaces and tabs around a cell and trailing blank
+        lines are ignored. Anything else raises ValueError naming its line.
+        """
+        end = len(text.rstrip(" \t\r\n"))
+        head_end = text.find("\n", 0, end)
+        if head_end < 0:
+            head_end = end
+        head = text[:head_end].encode("ascii", "replace") + b"\n"
+        header = _scan_block(head, head.count(b",") + 1)
+        if header is None:
             raise ValueError("line 1: expected comma-separated arities")
+        arities = header[0]
         try:
-            schema = tuple(int(tok) for tok in lines[0].split(","))
-        except ValueError:
-            raise ValueError("line 1: expected comma-separated arities") from None
-        rows = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            try:
-                rows.append(tuple(int(tok) for tok in line.split(",")))
-            except ValueError:
-                raise ValueError(
-                    f"line {lineno}: expected comma-separated category indices"
-                ) from None
-        try:
-            return cls(schema, rows)
+            schema = _check_schema(arities)
         except ValueError as exc:
-            raise ValueError(f"invalid dataset: {exc}") from None
+            raise ValueError(f"invalid dataset: line 1: {exc}") from None
+        # One row per body newline, where the header's newline stands in for
+        # the last row's, which the strip removed.
+        rows = np.empty((text.count("\n", head_end, end), len(schema)), dtype=np.int64)
+        start, n = head_end + 1, 0
+        while start < end:
+            # Blocks of whole lines: stop just past the first newline after
+            # the nominal block size, or at the end of the text.
+            stop = text.find("\n", start + _TEXT_BLOCK, end) + 1 or end
+            buf = text[start:stop].encode("ascii", "replace")
+            block = _parse_block(buf if stop < end else buf + b"\n", arities, n + 2)
+            rows[n : n + len(block)] = block
+            n += len(block)
+            start = stop
+        # The blocks checked every value against its arity, so adopt the
+        # array as is instead of validating and copying it again in __init__.
+        rows.setflags(write=False)
+        dataset = cls.__new__(cls)
+        dataset._schema, dataset._rows = schema, rows
+        return dataset
+
+
+def _check_schema(schema: Sequence[int]) -> tuple[int, ...]:
+    schema = tuple(int(a) for a in schema)
+    if len(schema) == 0:
+        raise ValueError("schema must have at least one coordinate")
+    if any(a < 1 for a in schema):
+        raise ValueError("coordinate arities must be >= 1")
+    return schema
+
+
+# Text codec. The body is parsed in blocks of whole lines of about this many
+# characters and rendered in blocks of about this many cells, so temporaries
+# scale with the block, not the file.
+_TEXT_BLOCK = 1 << 20
+# Longer cells might not fit an int64; no enumerable category needs them.
+_MAX_DIGITS = 18
+
+# Byte classes of the grammar; the two separators come first.
+_COMMA, _NEWLINE, _DIGIT, _BLANK, _CR, _OTHER = range(6)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[ord(",")] = _COMMA
+_BYTE_CLASS[ord("\n")] = _NEWLINE
+_BYTE_CLASS[ord("0") : ord("9") + 1] = _DIGIT
+_BYTE_CLASS[[ord(" "), ord("\t")]] = _BLANK
+_BYTE_CLASS[ord("\r")] = _CR
+
+
+def _scan_block(buf: bytes, p: int) -> np.ndarray | None:
+    r"""(lines, p) values of whole lines that each end in ``\n``; None if malformed.
+
+    Well formed means: allowed bytes only, CR only before LF, p cells per
+    line, and one run of at most _MAX_DIGITS digits inside each cell (so
+    blanks only around it). Each condition is local to a line.
+    """
+    b = np.frombuffer(buf, dtype=np.uint8)
+    kind = _BYTE_CLASS.take(b)
+    digit = kind == _DIGIT
+    seps = np.flatnonzero(kind <= _NEWLINE)  # each cell ends at one separator
+    line_ends = np.flatnonzero(b[seps] == ord("\n"))  # in units of cells
+    last = np.flatnonzero(digit[:-1] & ~digit[1:])  # last digit of each run
+    cr = np.flatnonzero(kind == _CR)
+    if not (
+        not (kind == _OTHER).any()
+        and (b[cr + 1] == ord("\n")).all()
+        and len(seps) == p * len(line_ends)
+        and np.array_equal(line_ends, np.arange(p - 1, len(seps), p))
+        and len(last) == len(seps)
+        and (last < seps).all()
+        and (last[1:] > seps[:-1]).all()
+    ):
+        return None
+    values = (b[last] - ord("0")).astype(np.int64)
+    # Add digit k places left of each run's last digit while any run is that
+    # long. A negative index wraps to the block's final "\n", which ends a run.
+    more = np.ones(len(last), dtype=bool)
+    for k in range(1, _MAX_DIGITS + 1):
+        more &= digit[last - k]
+        if not more.any():
+            break
+        if k == _MAX_DIGITS:
+            return None
+        # Widen before scaling: uint8 times an int64 scalar stays uint8 under
+        # NumPy 1.x value-based casting and would wrap at 10**2.
+        digits = b[last - k].astype(np.int64) - ord("0")
+        values += np.where(more, digits, 0) * 10**k
+    return values.reshape(-1, p)
+
+
+def _parse_block(buf: bytes, arities: np.ndarray, first_line: int) -> np.ndarray:
+    r"""(lines, p) rows of whole lines that each end in ``\n``.
+
+    Raises ValueError naming the first bad line, counted from ``first_line``.
+    """
+    p = len(arities)
+    rows = _scan_block(buf, p)
+    if rows is None:
+        # Bisect for the first malformed line: a prefix of whole lines is
+        # malformed exactly when one of its lines is.
+        starts = [0, *(np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == ord("\n")) + 1)]
+        lo, hi = 0, len(starts) - 2
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _scan_block(buf[: starts[mid + 1]], p) is None:
+                hi = mid
+            else:
+                lo = mid + 1
+        _parse_block(buf[: starts[lo]], arities, first_line)  # earlier range errors first
+        line = buf[starts[lo] : starts[lo + 1]]
+        cells = line.count(b",") + 1
+        if cells != p and _scan_block(line, cells) is not None:
+            raise ValueError(
+                f"line {first_line + lo}: expected {p} comma-separated category "
+                f"indices, found {cells}"
+            )
+        raise ValueError(f"line {first_line + lo}: expected comma-separated category indices")
+    bad = np.flatnonzero(rows >= arities)
+    if len(bad):
+        r, c = divmod(int(bad[0]), p)
+        raise ValueError(
+            f"invalid dataset: line {first_line + r}, coordinate {c + 1}: "
+            f"value {rows[r, c]} is not below its arity {arities[c]}"
+        )
+    return rows
+
+
+def _render_block(rows: np.ndarray) -> str:
+    r"""Lines of decimal cells, comma separated, each ended by ``\n``."""
+    cells = rows.ravel()
+    digits = len(str(int(cells.max())))
+    # One row per cell: its digits right-aligned, then its separator. Zero
+    # bytes pad short cells on the left and are dropped at the end.
+    text = np.zeros((len(cells), digits + 1), dtype=np.uint8)
+    text[:, digits] = ord(",")
+    text[rows.shape[1] - 1 :: rows.shape[1], digits] = ord("\n")
+    text[:, digits - 1] = cells % 10 + ord("0")
+    rest = cells // 10
+    for col in range(digits - 2, -1, -1):
+        text[:, col] = np.where(rest > 0, rest % 10 + ord("0"), 0)
+        rest //= 10
+    flat = text.ravel()
+    if digits > 1:
+        flat = flat[flat != 0]
+    return flat.tobytes().decode("ascii")
 
 
 def _domain_size(schema: Sequence[int]) -> int:

@@ -48,13 +48,14 @@ def grid_minimax(values, targets, step: float) -> float:
         raise ValueError("grid oracle supports at most 4 support points")
     rem = s - prefix.sum(axis=1)
     # Residuals along the final segment are affine in the integer weight x of
-    # coordinate m-2 (coordinate m-1 takes the remainder).
+    # coordinate m-2 (coordinate m-1 takes the remainder). They are held as an
+    # (nf, prefixes) array so the max runs over the short leading axis.
     base = prefix @ a[:, : m - 2].T
-    c = (base + np.outer(rem, a[:, m - 1])) / s - b
+    c = np.ascontiguousarray(((base + np.outer(rem, a[:, m - 1])) / s - b).T)
     d = (a[:, m - 2] - a[:, m - 1]) / s
 
     def g(x):
-        return np.abs(c + d[None, :] * x[:, None]).max(axis=1)
+        return np.abs(c + d[:, None] * x[None, :]).max(axis=0)
 
     lo = np.zeros(len(prefix), dtype=np.int64)
     hi = rem.copy()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpsynth import (
     DataPoint,
@@ -14,7 +16,22 @@ from dpsynth import (
     evaluate_statistic,
     weighted_statistics,
 )
-from dpsynth.core import TABLE_DOMAIN_CAP, _domain_size, _encode_rows
+from dpsynth.core import _TEXT_BLOCK, TABLE_DOMAIN_CAP, _domain_size, _encode_rows
+
+
+def reference_to_text(data):
+    """The per-cell rendering that the block codec replaced, kept as its oracle."""
+    lines = [",".join(str(a) for a in data.schema)]
+    lines.extend(",".join(str(v) for v in row) for row in data.rows)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def datasets(draw):
+    schema = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=8))
+    n = draw(st.integers(0, 50))
+    rows = [[draw(st.integers(0, a - 1)) for a in schema] for _ in range(n)]
+    return Dataset(schema, rows)
 
 
 class TestDataset:
@@ -110,6 +127,87 @@ class TestDatasetText:
     def test_out_of_range_rows_rejected(self):
         with pytest.raises(ValueError, match="invalid dataset"):
             Dataset.from_text("2,2\n0,5\n")
+
+    def test_out_of_range_error_names_line_and_coordinate(self):
+        with pytest.raises(
+            ValueError,
+            match="^invalid dataset: line 3, coordinate 2: value 5 is not below its arity 2$",
+        ):
+            Dataset.from_text("2,2\n0,1\n0,5\n1,1\n")
+
+    def test_ragged_row_error_names_line(self):
+        with pytest.raises(
+            ValueError, match="^line 3: expected 2 comma-separated category indices, found 1$"
+        ):
+            Dataset.from_text("2,2\n0,1\n0\n")
+        with pytest.raises(ValueError, match="^line 2: expected 2 .*, found 3$"):
+            Dataset.from_text("2,2\n0,1,1\n")
+
+    def test_first_bad_line_wins(self):
+        with pytest.raises(ValueError, match="invalid dataset: line 2,"):
+            Dataset.from_text("2,2\n0,5\n0,x\n")
+        with pytest.raises(ValueError, match="^line 3: expected comma-separated"):
+            Dataset.from_text("2,2\n0,1\n0,x\n0,5\n")
+
+    @pytest.mark.parametrize(
+        "row",
+        ["0,+1", "0,1_0", "0,\u0661", "0,1 1", "0,", "0, ", "0,0x1", "0,1.0", "0,-0", "0,-1",
+         "0,\xa01", "0,1\u3000", "0,\x1f1", "0,0\r1", "0\r,1", "0 1,", ",1 1"],
+    )
+    def test_cells_outside_the_grammar_rejected(self, row):
+        with pytest.raises(ValueError, match="^line 3: expected comma-separated category"):
+            Dataset.from_text(f"2,20\n0,1\n{row}\n1,1\n")
+
+    @pytest.mark.parametrize(
+        "brk", ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_lf_and_crlf_end_rows(self, brk):
+        with pytest.raises(ValueError, match="^line 2: expected comma-separated category"):
+            Dataset.from_text(f"2,2\n0,1{brk}1,0\n")
+
+    def test_long_cells_parse_exactly(self):
+        data = Dataset.from_text("999999999999999999,1000\n300,999\n123456789012345678,0\n")
+        assert data.schema == (999999999999999999, 1000)
+        assert data.rows.tolist() == [[300, 999], [123456789012345678, 0]]
+        assert data.rows.dtype == np.int64 and not data.rows.flags.writeable
+
+    def test_crlf_and_padding_parse_to_the_same_rows(self):
+        plain = Dataset.from_text("3,2\n0,1\n2,0\n1,1\n")
+        assert Dataset.from_text("3,2\r\n0,1\r\n2,0\r\n1,1\r\n\r\n") == plain
+        assert Dataset.from_text(" 3 ,\t2\n0 , 1\n\t2,0 \n 1\t,1\t\n \n") == plain
+        assert Dataset.from_text("3,2\r\n 0 ,1 \r\n2,\t0\r\n1 , 1\r\n") == plain
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=datasets())
+    def test_codec_matches_reference_rendering(self, data):
+        text = data.to_text()
+        assert text == reference_to_text(data)
+        assert Dataset.from_text(text) == data
+
+    def test_errors_name_lines_past_block_boundaries(self):
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 1000, size=(3 * _TEXT_BLOCK // 14, 4))
+        text = Dataset((1000,) * 4, rows).to_text()
+        body = text.index("\n") + 1
+        assert len(text) - body > 3 * _TEXT_BLOCK
+        assert Dataset.from_text(text) == Dataset((1000,) * 4, rows)
+        block_start = body
+        for _ in range(3):
+            # The line holding the nominal boundary ends the block; the next
+            # line starts the following one.
+            boundary = block_start + _TEXT_BLOCK
+            line_start = text.rindex("\n", 0, boundary) + 1
+            block_start = text.index("\n", boundary) + 1
+            for start in (line_start, block_start):
+                lineno = text.count("\n", 0, start) + 1
+                end = text.index("\n", start)
+                for bad, message in [
+                    ("1,2,x,4", f"^line {lineno}: expected comma-separated"),
+                    ("1,2,3", f"^line {lineno}: expected 4 .*, found 3$"),
+                    ("1,2,3,1000", f"^invalid dataset: line {lineno}, coordinate 4:"),
+                ]:
+                    with pytest.raises(ValueError, match=message):
+                        Dataset.from_text(text[:start] + bad + text[end:])
 
 
 class TestEncoding:
