@@ -21,20 +21,12 @@ from .distributions import (
 )
 from .mechanism import laplace_vector
 from .queries import marginal_family
-from .synth import PipelineConfig, generate
+from .synth import PipelineConfig, _fmt, generate
 
 DEFAULT_AUDIT_SLACK = 0.15
 # A histogram cell with a zero count on one side is only treated as evidence
 # when at least this many observations landed in it overall.
 MIN_CELL_OCCUPANCY = 10
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.9g}"
 
 
 @dataclass(frozen=True)
@@ -50,9 +42,7 @@ class ReweightedMeasure:
     total_mass: float
 
     def statistics(self, queries: QueryFamily) -> np.ndarray:
-        rows = self.support.rows
-        w = self.weights
-        return np.array([math.fsum(f.values(rows) * w) for f in queries], dtype=float)
+        return queries.weighted_sums(self.support.rows, self.weights)
 
 
 def reweighted_measure(population, sampling, draws: Dataset) -> ReweightedMeasure:
@@ -302,7 +292,7 @@ class BooleanExperimentResult:
             f"corollary_error_threshold = {_fmt(self.error_threshold)}",
             f"corollary_median_error = {_fmt(self.median_error)}",
             f"corollary_trials = {_fmt(self.trials)}",
-            f"errors = {','.join(_fmt(e) for e in self.errors)}",
+            f"errors = {_fmt(self.errors)}",
         ]
         return "\n".join(lines) + "\n"
 

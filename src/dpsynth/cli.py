@@ -23,7 +23,7 @@ from .distributions import (
     renyi_condition_number_mc,
 )
 from .queries import parse_query_spec
-from .synth import FitGateError, PipelineConfig, PrivacyGateError, generate
+from .synth import FitGateError, PipelineConfig, PrivacyGateError, _fmt, generate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,18 +58,8 @@ def _load_distribution(spec: str, schema=None):
     return parse_distribution_spec(_load_text(spec))
 
 
-def _fmt_value(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
-
-
 def _echo_config(args, keys) -> str:
-    lines = [f"config_{k} = {_fmt_value(getattr(args, k))}" for k in keys]
+    lines = [f"config_{k} = {_fmt(getattr(args, k))}" for k in keys]
     return "\n".join(lines) + "\n"
 
 
@@ -80,8 +70,14 @@ def _emit_report(text: str, report_path) -> None:
         sys.stdout.write(text)
 
 
+def _read_dataset(path: str) -> Dataset:
+    # No newline translation: the CLI parses the same characters as the library.
+    with open(path, newline="") as fh:
+        return Dataset.from_text(fh.read())
+
+
 def _cmd_generate(args) -> int:
-    data = Dataset.from_text(Path(args.data).read_text())
+    data = _read_dataset(args.data)
     queries = parse_query_spec(_load_text(args.queries), data.schema)
     sampling = _load_distribution(args.mu, data.schema)
     config = PipelineConfig(
@@ -134,8 +130,8 @@ def _cmd_audit_lemma4(args) -> int:
 
 
 def _cmd_audit_dp(args) -> int:
-    d1 = Dataset.from_text(Path(args.d1).read_text())
-    d2 = Dataset.from_text(Path(args.d2).read_text())
+    d1 = _read_dataset(args.d1)
+    d2 = _read_dataset(args.d2)
     queries = parse_query_spec(_load_text(args.queries), d1.schema)
     result = privacy_audit(
         queries, args.sigma, d1, d2, args.trials, args.bins,

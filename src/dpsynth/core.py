@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -13,6 +14,9 @@ StatisticsVector = np.ndarray
 
 # Explicit value tables are only allowed on domains small enough to enumerate.
 TABLE_DOMAIN_CAP = 1 << 20
+# The statistics kernel walks the rows in blocks of about this many cells of
+# its literal and mask matrices, so temporaries scale with the block.
+_STATS_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -278,14 +282,15 @@ def _encode_rows(rows: np.ndarray, schema: Sequence[int]) -> np.ndarray:
 
 
 class TestFunction:
-    """A query mapping records to [-1, 1].
+    """A query mapping records to [-1, 1]: a table or a conjunction.
 
-    Kinds:
-      * ``constant``: the all-ones function.
+    A conjunction is the indicator that each coordinate in ``coords`` takes
+    its ``assigned`` value. The kind names how it was built, for labels and
+    schema checks:
+      * ``constant``: the all-ones function, over no coordinates.
       * ``monotone``: product of the 0/1 coordinates in ``coords`` (Boolean
-        coordinates only).
-      * ``assignment``: indicator that the coordinates in ``coords`` equal the
-        fixed ``assigned`` values.
+        coordinates only), so each is assigned 1.
+      * ``assignment``: indicator of fixed ``assigned`` values.
       * ``table``: explicit value table over a full (small) domain.
     """
 
@@ -309,7 +314,8 @@ class TestFunction:
     @classmethod
     def monotone(cls, coords: Sequence[int]) -> "TestFunction":
         """Product of the selected Boolean coordinates (1 on the empty set)."""
-        return cls("monotone", coords=tuple(sorted(int(c) for c in coords)))
+        coords = tuple(sorted(int(c) for c in coords))
+        return cls("monotone", coords=coords, assigned=(1,) * len(coords))
 
     @classmethod
     def assignment(cls, coords: Sequence[int], values: Sequence[int]) -> "TestFunction":
@@ -340,11 +346,7 @@ class TestFunction:
 
     @property
     def is_constant_one(self) -> bool:
-        if self.kind == "constant":
-            return True
-        if self.kind in ("monotone", "assignment"):
-            return len(self.coords) == 0
-        return bool(np.all(self.table == 1.0))
+        return not self.coords if self.table is None else bool(np.all(self.table == 1.0))
 
     def check_schema(self, schema: Sequence[int]) -> None:
         """Raise ValueError unless this function conforms to the schema."""
@@ -355,45 +357,31 @@ class TestFunction:
             return
         if self.coords and max(self.coords) >= len(schema):
             raise ValueError("schema mismatch: coordinate index out of range")
-        if self.kind == "monotone":
-            if any(schema[c] != 2 for c in self.coords):
-                raise ValueError("monotone marginals need Boolean coordinates")
-        elif self.kind == "assignment":
-            for c, v in zip(self.coords, self.assigned):
-                if v >= schema[c]:
-                    raise ValueError(
-                        f"schema mismatch: value {v} out of range for coordinate {c + 1}"
-                    )
+        if self.kind == "monotone" and any(schema[c] != 2 for c in self.coords):
+            raise ValueError("monotone marginals need Boolean coordinates")
+        for c, v in zip(self.coords, self.assigned):
+            if v >= schema[c]:
+                raise ValueError(
+                    f"schema mismatch: value {v} out of range for coordinate {c + 1}"
+                )
 
     def values(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over an (n, p) row array."""
-        n = rows.shape[0]
-        if self.kind == "constant":
-            return np.ones(n)
-        if self.kind == "monotone":
-            if not self.coords:
-                return np.ones(n)
-            return rows[:, list(self.coords)].prod(axis=1).astype(float)
-        if self.kind == "assignment":
-            if not self.coords:
-                return np.ones(n)
-            sel = rows[:, list(self.coords)] == np.asarray(self.assigned)
-            return sel.all(axis=1).astype(float)
-        return self.table[_encode_rows(rows, self.schema)]
+        return QueryFamily((self,)).values_matrix(rows)[0]
 
     def __call__(self, point) -> float:
         vals = point.values if isinstance(point, DataPoint) else tuple(point)
         return float(self.values(np.asarray([vals], dtype=np.int64))[0])
 
     def label(self) -> str:
-        if self.kind == "constant" or (self.kind != "table" and not self.coords):
+        if self.table is not None:
+            return "table"
+        if not self.coords:
             return "1"
         if self.kind == "monotone":
             return "*".join(f"x{c + 1}" for c in self.coords)
-        if self.kind == "assignment":
-            inner = ",".join(f"x{c + 1}={v}" for c, v in zip(self.coords, self.assigned))
-            return f"ind({inner})"
-        return "table"
+        inner = ",".join(f"x{c + 1}={v}" for c, v in zip(self.coords, self.assigned))
+        return f"ind({inner})"
 
     def _key(self):
         tbl = self.table.tobytes() if self.table is not None else None
@@ -412,12 +400,28 @@ class TestFunction:
 
 
 class QueryFamily:
-    """Ordered family of test functions with stable positional indices."""
+    """Ordered family of test functions with stable positional indices.
+
+    Compiled once: a literal list (coordinate, value) whose literal 0 is always
+    true, a (conjunctions, D) array of literal indices padded with literal 0,
+    and the positions of the table functions.
+    """
 
     def __init__(self, functions: Iterable[TestFunction]):
         self._functions = tuple(functions)
         if not self._functions:
             raise ValueError("query family must contain at least one function")
+        self._tables = [i for i, f in enumerate(self._functions) if f.table is not None]
+        self._conjunctions = [i for i, f in enumerate(self._functions) if f.table is None]
+        ids: dict[tuple[int, int], int] = {}
+        terms = [
+            [ids.setdefault(literal, len(ids) + 1) for literal in zip(f.coords, f.assigned)]
+            for f in self._functions if f.table is None
+        ]
+        self._literals = np.array([(0, 0), *ids], dtype=np.int64).T
+        self._literal_index = np.zeros((len(terms), max([1, *map(len, terms)])), dtype=np.intp)
+        for row, term in zip(self._literal_index, terms):
+            row[: len(term)] = term
 
     def __len__(self) -> int:
         return len(self._functions)
@@ -450,9 +454,71 @@ class QueryFamily:
         for f in self._functions:
             f.check_schema(schema)
 
+    def _masks(self, rows: np.ndarray) -> Iterator[np.ndarray]:
+        """The statistics kernel: for each block of rows in turn, whether
+        each conjunction holds on each row of the block."""
+        coord, value = self._literals
+        index = self._literal_index
+        step = max(1, _STATS_BLOCK // (len(coord) + len(index)))
+        for start in range(0, rows.shape[0], step):
+            literals = rows[start : start + step].T[coord] == value[:, None]
+            literals[0] = True
+            mask = literals[index[:, 0]]
+            for column in index.T[1:]:
+                mask &= literals[column]
+            yield mask
+
+    def _held(self, rows: np.ndarray) -> np.ndarray:
+        """(conjunctions, n): whether each conjunction holds on each row."""
+        return np.hstack([np.empty((len(self._literal_index), 0), bool), *self._masks(rows)])
+
+    def _table_values(self, i: int, rows: np.ndarray) -> np.ndarray:
+        f = self._functions[i]
+        return f.table[_encode_rows(rows, f.schema)]
+
     def values_matrix(self, rows: np.ndarray) -> np.ndarray:
         """(|F|, n) matrix of function values over the given rows."""
-        return np.stack([f.values(rows) for f in self._functions])
+        out = np.empty((len(self), rows.shape[0]))
+        out[self._conjunctions] = self._held(rows)
+        for i in self._tables:
+            out[i] = self._table_values(i, rows)
+        return out
+
+    def means(self, rows: np.ndarray) -> StatisticsVector:
+        """Mean of every function over n >= 1 rows: the compensated sum of its
+        values over n, which for a conjunction is its exact count over n."""
+        n = rows.shape[0]
+        out = np.empty(len(self))
+        out[self._conjunctions] = sum(np.count_nonzero(m, axis=1) for m in self._masks(rows)) / n
+        for i in self._tables:
+            out[i] = math.fsum(self._table_values(i, rows)) / n
+        return out
+
+    def weighted_sums(self, rows: np.ndarray, weights: np.ndarray) -> StatisticsVector:
+        """Compensated sum of f(z) * weight(z) over the rows, for every function
+        f; for a conjunction, that of the weights of the rows it holds on."""
+        w = np.asarray(weights, dtype=float)
+        out = np.empty(len(self))
+        out[self._conjunctions] = [math.fsum(w[held]) for held in self._held(rows)]
+        for i in self._tables:
+            out[i] = math.fsum(self._table_values(i, rows) * w)
+        return out
+
+    def product_expectations(self, vectors: Sequence[np.ndarray]) -> StatisticsVector:
+        """Expectation of every function when coordinate c is drawn from ``vectors[c]``:
+        for a conjunction, the product of its literals' probabilities in
+        coordinate order; for a table, its compensated sum against the masses."""
+        coord, value = self._literals
+        probs = np.array([1.0, *(vectors[c][v] for c, v in zip(coord[1:], value[1:]))])
+        out = np.empty(len(self))
+        out[self._conjunctions] = 1.0
+        for column in self._literal_index.T:
+            out[self._conjunctions] *= probs[column]
+        if self._tables:
+            masses = reduce(np.multiply.outer, vectors, np.ones(())).ravel()
+        for i in self._tables:
+            out[i] = math.fsum(self._functions[i].table * masses)
+        return out
 
 
 @dataclass(frozen=True)
@@ -486,11 +552,8 @@ class FiniteDensity:
 
 
 def evaluate_statistic(f: TestFunction, data: Dataset) -> float:
-    """Mean of one test function over a dataset (compensated summation)."""
-    if len(data) == 0:
-        raise ValueError("empty dataset")
-    f.check_schema(data.schema)
-    return math.fsum(f.values(data.rows)) / len(data)
+    """Mean of one test function over a dataset."""
+    return float(evaluate_all(QueryFamily((f,)), data)[0])
 
 
 def evaluate_all(queries: QueryFamily, data: Dataset) -> StatisticsVector:
@@ -498,17 +561,13 @@ def evaluate_all(queries: QueryFamily, data: Dataset) -> StatisticsVector:
     if len(data) == 0:
         raise ValueError("empty dataset")
     queries.check_schema(data.schema)
-    rows = data.rows
-    n = len(data)
-    return np.array([math.fsum(f.values(rows)) / n for f in queries], dtype=float)
+    return queries.means(data.rows)
 
 
 def weighted_statistics(queries: QueryFamily, density: FiniteDensity) -> StatisticsVector:
     """Statistics of a finite density: sum of f(z) * weight(z) over the support."""
     queries.check_schema(density.support.schema)
-    rows = density.support.rows
-    w = density.weights
-    return np.array([math.fsum(f.values(rows) * w) for f in queries], dtype=float)
+    return queries.weighted_sums(density.support.rows, density.weights)
 
 
 def accuracy_error(queries: QueryFamily, x: Dataset, y: Dataset) -> float:

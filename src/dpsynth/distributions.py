@@ -19,14 +19,13 @@ from .core import Dataset, QueryFamily, StatisticsVector, _domain_size, _encode_
 ENUMERATION_CAP = 1 << 20
 
 
-def _as_rng(rng) -> np.random.Generator:
-    return np.random.default_rng(rng)
-
-
 def _inverse_cdf_sample(masses: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count indices drawn i.i.d. with probabilities ``masses``, one uniform each."""
     cdf = np.cumsum(masses)
     idx = np.searchsorted(cdf, rng.random(count), side="right")
-    return np.minimum(idx, len(masses) - 1)
+    # Masses sum to 1 only within rounding, so a uniform can land above the
+    # CDF's last value; it must not hand out a trailing zero-mass index.
+    return np.minimum(idx, np.flatnonzero(masses > 0)[-1])
 
 
 class ProductDistribution:
@@ -76,7 +75,7 @@ class ProductDistribution:
     def sample(self, count: int, rng) -> Dataset:
         if count < 1:
             raise ValueError("sample count must be >= 1")
-        rng = _as_rng(rng)
+        rng = np.random.default_rng(rng)
         cols = [_inverse_cdf_sample(v, count, rng) for v in self._vectors]
         return Dataset(self.schema, np.column_stack(cols))
 
@@ -140,7 +139,7 @@ class ExplicitDistribution:
     def sample(self, count: int, rng) -> Dataset:
         if count < 1:
             raise ValueError("sample count must be >= 1")
-        rng = _as_rng(rng)
+        rng = np.random.default_rng(rng)
         idx = _inverse_cdf_sample(self._masses, count, rng)
         return Dataset(self.schema, self._points.rows[idx])
 
@@ -191,7 +190,7 @@ def renyi_condition_number_mc(population, sampling, samples: int, rng) -> float:
     """Monte Carlo estimate of kappa: average density ratio under the population."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     draws = population.sample(samples, rng)
     p_mass = population.mass_many(draws.rows)
     q_mass = sampling.mass_many(draws.rows)
@@ -214,35 +213,12 @@ def kappa_uniform(masses, domain_size: int) -> float:
 
 def exact_statistics(dist, queries: QueryFamily) -> StatisticsVector:
     """Exact expectation of every family function under the distribution."""
-    if isinstance(dist, ExplicitDistribution):
-        queries.check_schema(dist.schema)
-        rows = dist.points.rows
-        w = dist.masses
-        return np.array([math.fsum(f.values(rows) * w) for f in queries], dtype=float)
-    if not isinstance(dist, ProductDistribution):
+    if not isinstance(dist, (ExplicitDistribution, ProductDistribution)):
         raise TypeError(f"unsupported distribution type: {type(dist)!r}")
     queries.check_schema(dist.schema)
-    vectors = dist.coordinate_probabilities
-    out = []
-    for f in queries:
-        if f.kind == "constant" or (f.kind in ("monotone", "assignment") and not f.coords):
-            out.append(1.0)
-        elif f.kind == "monotone":
-            val = 1.0
-            for c in f.coords:
-                val *= vectors[c][1]
-            out.append(val)
-        elif f.kind == "assignment":
-            val = 1.0
-            for c, v in zip(f.coords, f.assigned):
-                val *= vectors[c][v]
-            out.append(val)
-        else:
-            explicit = dist.to_explicit()
-            out.append(
-                math.fsum(f.values(explicit.points.rows) * explicit.masses)
-            )
-    return np.array(out, dtype=float)
+    if isinstance(dist, ExplicitDistribution):
+        return queries.weighted_sums(dist.points.rows, dist.masses)
+    return queries.product_expectations(dist.coordinate_probabilities)
 
 
 def parse_distribution_spec(text: str):

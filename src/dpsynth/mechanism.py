@@ -15,10 +15,6 @@ import numpy as np
 from .core import StatisticsVector
 
 
-def _as_rng(rng) -> np.random.Generator:
-    return np.random.default_rng(rng)
-
-
 def _laplace_from_uniform(sigma: float, u: np.ndarray) -> np.ndarray:
     # Inverse CDF on a single uniform draw per sample; exact scale in sigma.
     centered = u - 0.5
@@ -29,7 +25,7 @@ def laplace_vector(sigma: float, size, rng) -> np.ndarray:
     """Independent Laplace draws with P(|lam| > t) = exp(-t/sigma); size may be a shape."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     u = rng.random(size)
     # u = 0 would map to an infinite draw; redraw the (measure-zero) hits.
     while True:

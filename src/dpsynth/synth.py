@@ -9,11 +9,12 @@ records from the fit. Everything after the noise step is post-processing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import Dataset, FiniteDensity, QueryFamily, evaluate_all
+from .distributions import _inverse_cdf_sample
 from .mechanism import perturb, privacy_check, sensitivity_bound, sigma_for
 from .optimize import build_lp, solve_min_max
 
@@ -121,19 +122,22 @@ def bootstrap(density: FiniteDensity, count: int, rng) -> Dataset:
     """Draw count records i.i.d. from a finite density."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(rng)
-    cdf = np.cumsum(density.weights)
-    idx = np.searchsorted(cdf, rng.random(count), side="right")
-    # A CDF summing to just under 1 must not hand out a trailing zero-weight point.
-    idx = np.minimum(idx, np.flatnonzero(density.weights > 0)[-1])
+    idx = _inverse_cdf_sample(density.weights, count, np.random.default_rng(rng))
     return Dataset(density.support.schema, density.support.rows[idx])
 
 
 def _fmt(value) -> str:
+    """The one rendering of a report or config value."""
+    if value is None:
+        return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return ",".join(_fmt(v) for v in value)
     return f"{float(value):.9g}"
 
 
@@ -164,32 +168,9 @@ class PipelineReport:
     noisy_targets: tuple[float, ...] | None = None
 
     def to_text(self) -> str:
-        lines = [
-            f"sigma = {_fmt(self.sigma)}",
-            f"epsilon_achieved = {_fmt(self.epsilon_achieved)}",
-            f"lp_objective = {_fmt(self.lp_objective)}",
-            f"accuracy_threshold_n_k = {_fmt(self.accuracy_threshold_n_k)}",
-            f"accuracy_threshold_m = {_fmt(self.accuracy_threshold_m)}",
-            f"seed = {_fmt(self.seed)}",
-            f"family_size = {_fmt(self.family_size)}",
-            f"epsilon = {_fmt(self.epsilon)}",
-            f"sensitivity = {_fmt(self.sensitivity)}",
-            f"required_n = {_fmt(self.required_n)}",
-            f"privacy_passed = {_fmt(self.privacy_passed)}",
-            f"accuracy_passed = {_fmt(self.accuracy_passed)}",
-            f"config_in_range = {_fmt(self.config_in_range)}",
-            f"lp_status = {self.lp_status}",
-            f"lp_iterations = {_fmt(self.lp_iterations)}",
-            f"constant_one_added = {_fmt(self.constant_one_added)}",
-            f"n = {_fmt(self.n)}",
-            f"synthetic_size = {_fmt(self.synthetic_size)}",
-            f"reduced_size = {_fmt(self.reduced_size)}",
-            f"kappa_bound = {_fmt(self.kappa_bound)}",
-        ]
-        if self.noisy_targets is not None:
-            rendered = ",".join(_fmt(v) for v in self.noisy_targets)
-            lines.append(f"noisy_targets = {rendered}")
-        return "\n".join(lines) + "\n"
+        """One ``name = value`` line per field in field order, leaving out unset ones."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return "".join(f"{name} = {_fmt(v)}\n" for name, v in values if v is not None)
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,21 @@ class TestReweightedDeviationCheck:
                 trials=5, rng=np.random.default_rng(0),
             )
 
+    def test_uniform_above_the_cdf_keeps_draws_in_the_support(self):
+        # The masses pass the 1e-12 sum check, but their CDF ends below 1 - 1e-13.
+        dist = ExplicitDistribution(Dataset((3,), [[0], [1], [2]]), [0.3, 0.7 - 5e-13, 0.0])
+
+        class TopUniform(np.random.Generator):
+            def random(self, size=None):
+                return np.full(size, 1.0 - 1e-13)
+
+        family = QueryFamily([TestFunction.constant_one()])
+        result = reweighted_deviation_check(
+            dist, dist, family, m=10, delta=0.2, gamma=0.1, trials=3,
+            rng=TopUniform(np.random.PCG64(0)),
+        )
+        assert result.mean_r == 1.0
+
     def test_report_text(self, two_point_pair):
         population, sampling, family = two_point_pair
         result = reweighted_deviation_check(

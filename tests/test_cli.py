@@ -102,6 +102,20 @@ class TestGenerateCommand:
         assert code == EXIT_USAGE
         assert "error" in capsys.readouterr().err
 
+    def test_lone_carriage_return_is_rejected_as_in_the_library(self, tmp_path, capsys):
+        data = tmp_path / "lone_cr.txt"
+        data.write_bytes(b"2,2\n0,1\r1,0\n1,1\n")
+        code, _, _ = run_generate(data, tmp_path)
+        assert code == EXIT_USAGE
+        assert "line 2:" in capsys.readouterr().err
+
+    def test_crlf_data_file_is_accepted(self, data_file, tmp_path):
+        crlf = tmp_path / "crlf.txt"
+        crlf.write_bytes(data_file.read_bytes().replace(b"\n", b"\r\n"))
+        code, out, _ = run_generate(crlf, tmp_path)
+        assert code == EXIT_OK
+        assert len(Dataset.from_text(out.read_text())) == 120
+
     def test_bad_query_spec(self, data_file, tmp_path, capsys):
         out = tmp_path / "o.txt"
         code = main([
@@ -194,6 +208,17 @@ class TestAuditCommands:
         ])
         assert code == EXIT_USAGE
         assert "not add-one neighbors" in capsys.readouterr().err
+
+    def test_dp_rejects_a_lone_carriage_return(self, tmp_path, capsys):
+        d1 = tmp_path / "d1.txt"
+        d1.write_bytes(b"2\n0\r0\n")
+        code = main([
+            "audit", "dp", "--queries", "indicator S=1 values=1",
+            "--sigma", "0.2", "--d1", str(d1), "--d2", str(d1),
+            "--trials", "100", "--bins", "4", "--seed", "15",
+        ])
+        assert code == EXIT_USAGE
+        assert "line 2:" in capsys.readouterr().err
 
     def test_corollary_small(self, tmp_path):
         report = tmp_path / "corollary.txt"

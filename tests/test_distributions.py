@@ -106,6 +106,30 @@ class TestExplicitDistribution:
         assert a == b
 
 
+class TopUniform(np.random.Generator):
+    """A generator whose uniforms all lie above the CDFs built below."""
+
+    def random(self, size=None):
+        return np.full(size, 1.0 - 1e-13)
+
+
+class TestInverseCdfSampling:
+    # The masses pass the 1e-12 sum check, but their CDF ends at 0.9999999999995.
+    MASSES = [0.3, 0.7 - 5e-13, 0.0]
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            ExplicitDistribution(Dataset((3,), [[0], [1], [2]]), MASSES),
+            ProductDistribution([MASSES]),
+        ],
+    )
+    def test_uniform_above_the_cdf_never_draws_a_trailing_zero_mass_point(self, dist):
+        assert np.cumsum(self.MASSES)[-1] < 1.0 - 1e-13
+        draws = dist.sample(5, TopUniform(np.random.PCG64(0)))
+        assert (draws.rows == 1).all()
+
+
 class TestConditionNumber:
     def test_identical_distributions_give_one(self):
         uniform = ProductDistribution.uniform((2, 2, 2))

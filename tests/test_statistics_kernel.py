@@ -1,0 +1,137 @@
+"""The compiled conjunction kernel against the per-function reference.
+
+Every comparison is exact: counts over n equal the compensated sum of 0/1
+values over n, a compensated sum of the selected weights equals that of the
+0/1 products, and products of literal probabilities run in coordinate order.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import statistics_oracle as oracle
+from dpsynth import (
+    Dataset,
+    ExplicitDistribution,
+    FiniteDensity,
+    ProductDistribution,
+    QueryFamily,
+    ReweightedMeasure,
+    TestFunction,
+    evaluate_all,
+    evaluate_statistic,
+    exact_statistics,
+    marginal_family,
+    weighted_statistics,
+)
+from dpsynth.core import _STATS_BLOCK
+
+WEIGHTS = st.floats(0.0, 1.0)
+
+
+@st.composite
+def functions(draw, schema):
+    p = len(schema)
+    boolean = [c for c in range(p) if schema[c] == 2]
+    choices = ["constant", "assignment"] + (["monotone"] if boolean else [])
+    if np.prod(schema) <= 64:
+        choices.append("table")
+    kind = draw(st.sampled_from(choices))
+    if kind == "constant":
+        return TestFunction.constant_one()
+    if kind == "monotone":
+        coords = draw(st.lists(st.sampled_from(boolean), max_size=3, unique=True))
+        return TestFunction.monotone(coords)
+    if kind == "assignment":
+        coords = draw(st.lists(st.integers(0, p - 1), max_size=min(3, p), unique=True))
+        values = [draw(st.integers(0, schema[c] - 1)) for c in coords]
+        return TestFunction.assignment(coords, values)
+    size = int(np.prod(schema))
+    table = draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
+    return TestFunction.from_table(schema, table)
+
+
+@st.composite
+def instances(draw):
+    """A schema, a family on it and rows over it."""
+    schema = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=6)))
+    family = QueryFamily(draw(st.lists(functions(schema), min_size=1, max_size=12)))
+    n = draw(st.integers(1, 40))
+    rows = np.array(
+        [[draw(st.integers(0, a - 1)) for a in schema] for _ in range(n)], dtype=np.int64
+    ).reshape(n, len(schema))
+    return schema, family, rows
+
+
+def normalized(weights):
+    w = np.asarray(weights, dtype=float)
+    return w / w.sum() if w.sum() > 0 else np.full(len(w), 1.0 / len(w))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_means_and_values_match_the_reference(instance):
+    schema, family, rows = instance
+    data = Dataset(schema, rows)
+    assert np.array_equal(evaluate_all(family, data), oracle.means(family, rows))
+    assert np.array_equal(family.values_matrix(rows), oracle.values_matrix(family, rows))
+    f = family[0]
+    assert evaluate_statistic(f, data) == oracle.means(QueryFamily([f]), rows)[0]
+    assert np.array_equal(f.values(rows), oracle.values(f, rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.data())
+def test_weighted_sums_match_the_reference(instance, data):
+    schema, family, rows = instance
+    raw = np.array(data.draw(st.lists(WEIGHTS, min_size=len(rows), max_size=len(rows))))
+    measure = ReweightedMeasure(Dataset(schema, rows), raw, float(raw.sum()))
+    assert np.array_equal(measure.statistics(family), oracle.weighted_sums(family, rows, raw))
+    w = normalized(raw)
+    density = FiniteDensity(Dataset(schema, rows), w)
+    assert np.array_equal(
+        weighted_statistics(family, density), oracle.weighted_sums(family, rows, w)
+    )
+    points = np.unique(rows, axis=0)
+    masses = normalized(raw[: len(points)])
+    explicit = ExplicitDistribution(Dataset(schema, points), masses)
+    assert np.array_equal(
+        exact_statistics(explicit, family), oracle.weighted_sums(family, points, masses)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.data())
+def test_product_expectations_match_the_reference(instance, data):
+    schema, family, _ = instance
+    vectors = [
+        normalized(data.draw(st.lists(WEIGHTS, min_size=a, max_size=a))) for a in schema
+    ]
+    dist = ProductDistribution(vectors)
+    assert np.array_equal(exact_statistics(dist, family), oracle.product_expectations(dist, family))
+
+
+def block_rows(family):
+    """Rows per kernel block for this family."""
+    return _STATS_BLOCK // (family._literals.shape[1] + len(family._literal_index))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_block_boundaries(offset, blocks):
+    p = 9
+    family = QueryFamily([
+        *marginal_family(p, 2, "monotone"),
+        TestFunction.assignment((0, 4, 8), (1, 0, 1)),
+        TestFunction.from_table((2,) * p, np.linspace(-1.0, 1.0, 2**p)),
+    ])
+    n = blocks * block_rows(family) + offset
+    rng = np.random.default_rng(n)
+    rows = rng.integers(0, 2, size=(n, p))
+    data = Dataset((2,) * p, rows)
+    assert np.array_equal(evaluate_all(family, data), oracle.means(family, rows))
+    assert np.array_equal(family.values_matrix(rows), oracle.values_matrix(family, rows))
+    w = rng.random(n)
+    measure = ReweightedMeasure(data, w, float(w.sum()))
+    assert np.array_equal(measure.statistics(family), oracle.weighted_sums(family, rows, w))
