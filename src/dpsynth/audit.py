@@ -239,22 +239,29 @@ def privacy_audit(
     epsilon_theoretical = float(np.sum(np.abs(stats1 - stats2))) / sigma
 
     nf = len(queries)
-    out1 = stats1 + laplace_vector(sigma, (trials, nf), rng)
-    out2 = stats2 + laplace_vector(sigma, (trials, nf), rng)
+    # The (trials, nf) arrays set this audit's memory: they are updated in
+    # place, and the bin edges are all taken before any cell index is made.
+    out1 = laplace_vector(sigma, (trials, nf), rng)
+    out1 += stats1
+    out2 = laplace_vector(sigma, (trials, nf), rng)
+    out2 += stats2
+    edges = [
+        np.quantile(
+            np.concatenate([out1[:, j], out2[:, j]]),
+            np.arange(1, bins) / bins,
+            overwrite_input=True,
+        )
+        for j in range(nf)
+    ]
 
-    cell1 = np.zeros(trials, dtype=np.int64)
-    cell2 = np.zeros(trials, dtype=np.int64)
-    for j in range(nf):
-        combined = np.concatenate([out1[:, j], out2[:, j]])
-        inner = np.quantile(combined, np.arange(1, bins) / bins)
-        idx1 = np.searchsorted(inner, out1[:, j], side="right")
-        idx2 = np.searchsorted(inner, out2[:, j], side="right")
-        cell1 = cell1 * bins + idx1
-        cell2 = cell2 * bins + idx2
-    total_cells = bins**nf
-    counts1 = np.bincount(cell1, minlength=total_cells)
-    counts2 = np.bincount(cell2, minlength=total_cells)
+    def counts(out: np.ndarray) -> np.ndarray:
+        cell = np.zeros(trials, dtype=np.int64)
+        for j, inner in enumerate(edges):
+            cell *= bins
+            cell += np.searchsorted(inner, out[:, j], side="right")
+        return np.bincount(cell, minlength=bins**nf)
 
+    counts1, counts2 = counts(out1), counts(out2)
     both = (counts1 > 0) & (counts2 > 0)
     if both.any():
         ratios = np.abs(np.log(counts1[both] / counts2[both]))

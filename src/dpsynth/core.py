@@ -36,20 +36,32 @@ class Dataset:
     """Ordered sequence of records over a fixed per-coordinate arity schema.
 
     Duplicates are legal and row order is preserved. Rows are held as a
-    read-only (n, p) integer array.
+    read-only (n, p) array of the narrowest dtype that holds the schema:
+    uint8, uint16 or uint32 when the largest arity is at most 2^8, 2^16 or
+    2^32, int64 above that.
     """
 
     def __init__(self, schema: Sequence[int], rows) -> None:
         self._schema = _check_schema(schema)
-        arr = np.array(rows, dtype=np.int64, copy=True)
+        arr = np.asarray(rows, dtype=np.int64)
         if arr.size == 0:
             arr = arr.reshape(0, len(self._schema))
         if arr.ndim != 2 or arr.shape[1] != len(self._schema):
             raise ValueError(f"rows must have shape (n, {len(self._schema)})")
         if arr.size and (arr.min() < 0 or (arr >= np.asarray(self._schema)).any()):
             raise ValueError("row values must lie within the schema arities")
-        arr.setflags(write=False)
-        self._rows = arr
+        self._rows = arr.astype(_row_dtype(self._schema))
+        self._rows.setflags(write=False)
+
+    @classmethod
+    def _adopt(cls, schema: tuple[int, ...], rows: np.ndarray) -> "Dataset":
+        """A dataset that takes over rows made for it, without a copy or a range
+        scan: the caller guarantees a checked schema, rows of its row dtype and
+        every value below its arity."""
+        rows.setflags(write=False)
+        dataset = cls.__new__(cls)
+        dataset._schema, dataset._rows = schema, rows
+        return dataset
 
     @property
     def schema(self) -> tuple[int, ...]:
@@ -123,7 +135,7 @@ class Dataset:
             raise ValueError(f"invalid dataset: line 1: {exc}") from None
         # One row per body newline, where the header's newline stands in for
         # the last row's, which the strip removed.
-        rows = np.empty((text.count("\n", head_end, end), len(schema)), dtype=np.int64)
+        rows = np.empty((text.count("\n", head_end, end), len(schema)), dtype=_row_dtype(schema))
         start, n = head_end + 1, 0
         while start < end:
             # Blocks of whole lines: stop just past the first newline after
@@ -134,12 +146,8 @@ class Dataset:
             rows[n : n + len(block)] = block
             n += len(block)
             start = stop
-        # The blocks checked every value against its arity, so adopt the
-        # array as is instead of validating and copying it again in __init__.
-        rows.setflags(write=False)
-        dataset = cls.__new__(cls)
-        dataset._schema, dataset._rows = schema, rows
-        return dataset
+        # The blocks checked every value against its arity.
+        return cls._adopt(schema, rows)
 
 
 def _check_schema(schema: Sequence[int]) -> tuple[int, ...]:
@@ -149,6 +157,17 @@ def _check_schema(schema: Sequence[int]) -> tuple[int, ...]:
     if any(a < 1 for a in schema):
         raise ValueError("coordinate arities must be >= 1")
     return schema
+
+
+def _row_dtype(schema: tuple[int, ...]) -> np.dtype:
+    """The narrowest unsigned dtype whose values cover every arity's indices,
+    or int64 (which keeps arithmetic with int64 free of mixed-sign promotion)
+    when no 32-bit one does."""
+    top = max(schema)
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if top <= np.iinfo(dtype).max + 1:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 # Text codec. The body is parsed in blocks of whole lines of about this many
@@ -273,12 +292,25 @@ def _domain_size(schema: Sequence[int]) -> int:
     return size
 
 
+def _first_occurrences(rows: np.ndarray) -> np.ndarray:
+    """Indices of the distinct rows' first occurrences, in increasing order."""
+    order = np.lexsort(rows.T)  # stable, so equal rows stay in index order
+    ranked = rows[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return np.sort(order[first])
+
+
 def _encode_rows(rows: np.ndarray, schema: Sequence[int]) -> np.ndarray:
-    """Mixed-radix encoding of rows into flat table indices."""
-    strides = np.ones(len(schema), dtype=np.int64)
-    for i in range(len(schema) - 2, -1, -1):
-        strides[i] = strides[i + 1] * schema[i + 1]
-    return rows @ strides
+    """Mixed-radix encoding of rows into flat table indices.
+
+    Horner's rule in an int64 accumulator, which widens each narrow column as
+    it is added, so no product is taken in the rows' own dtype."""
+    codes = np.zeros(rows.shape[0], dtype=np.int64)
+    for c, a in enumerate(schema):
+        codes *= a
+        codes += rows[:, c]
+    return codes
 
 
 class TestFunction:
@@ -458,10 +490,13 @@ class QueryFamily:
         """The statistics kernel: for each block of rows in turn, whether
         each conjunction holds on each row of the block."""
         coord, value = self._literals
+        # In their own narrowest dtype the values compare exactly against any
+        # row dtype, and byte by byte against uint8 rows.
+        value = value.astype(np.min_scalar_type(value.max()))[:, None]
         index = self._literal_index
         step = max(1, _STATS_BLOCK // (len(coord) + len(index)))
         for start in range(0, rows.shape[0], step):
-            literals = rows[start : start + step].T[coord] == value[:, None]
+            literals = rows[start : start + step].T[coord] == value
             literals[0] = True
             mask = literals[index[:, 0]]
             for column in index.T[1:]:

@@ -13,7 +13,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Dataset, QueryFamily, StatisticsVector, _domain_size, _encode_rows
+from .core import (
+    Dataset,
+    QueryFamily,
+    StatisticsVector,
+    _domain_size,
+    _encode_rows,
+    _first_occurrences,
+    _row_dtype,
+)
 
 # Cap for enumerating a full product domain into an explicit distribution.
 ENUMERATION_CAP = 1 << 20
@@ -76,8 +84,12 @@ class ProductDistribution:
         if count < 1:
             raise ValueError("sample count must be >= 1")
         rng = np.random.default_rng(rng)
-        cols = [_inverse_cdf_sample(v, count, rng) for v in self._vectors]
-        return Dataset(self.schema, np.column_stack(cols))
+        schema = self.schema
+        rows = np.empty((count, len(schema)), dtype=_row_dtype(schema))
+        # Each column's draws index its own probability vector, so lie below its arity.
+        for c, v in enumerate(self._vectors):
+            rows[:, c] = _inverse_cdf_sample(v, count, rng)
+        return Dataset._adopt(schema, rows)
 
     def to_explicit(self) -> "ExplicitDistribution":
         """Enumerate the full domain (small domains only)."""
@@ -101,7 +113,7 @@ class ExplicitDistribution:
             raise ValueError("masses must be nonnegative")
         if abs(math.fsum(m) - 1.0) > 1e-12:
             raise ValueError("masses must sum to 1 within 1e-12")
-        if len(np.unique(points.rows, axis=0)) != len(points):
+        if len(_first_occurrences(points.rows)) != len(points):
             raise ValueError("points must be distinct")
         m.setflags(write=False)
         self._points = points
@@ -141,7 +153,7 @@ class ExplicitDistribution:
             raise ValueError("sample count must be >= 1")
         rng = np.random.default_rng(rng)
         idx = _inverse_cdf_sample(self._masses, count, rng)
-        return Dataset(self.schema, self._points.rows[idx])
+        return Dataset._adopt(self.schema, self._points.rows[idx])
 
 
 def _explicit_for(dist, reason: str) -> ExplicitDistribution:

@@ -16,9 +16,18 @@ from .core import StatisticsVector
 
 
 def _laplace_from_uniform(sigma: float, u: np.ndarray) -> np.ndarray:
-    # Inverse CDF on a single uniform draw per sample; exact scale in sigma.
-    centered = u - 0.5
-    return -sigma * np.sign(centered) * np.log1p(-2.0 * np.abs(centered))
+    """Inverse CDF on a single uniform draw per sample; exact scale in sigma.
+
+    Computes -sigma * sign(u - 1/2) * log1p(-2 |u - 1/2|) in that order, in
+    place in u and one array for the result, so u is overwritten.
+    """
+    centered = np.subtract(u, 0.5, out=u)
+    draws = np.sign(centered)
+    draws *= -sigma
+    np.abs(centered, out=centered)
+    centered *= -2.0
+    draws *= np.log1p(centered, out=centered)
+    return draws
 
 
 def laplace_vector(sigma: float, size, rng) -> np.ndarray:

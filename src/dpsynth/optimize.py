@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, FiniteDensity, QueryFamily
+from .core import Dataset, FiniteDensity, QueryFamily, _first_occurrences
 
 PIVOT_TOL = 1e-9
 OPTIMALITY_GAP = 1e-7
@@ -71,9 +71,8 @@ def build_lp(
     if targets.ndim != 1 or len(targets) != len(queries):
         raise ValueError("need exactly one target per family function")
     queries.check_schema(reduced_domain.schema)
-    uniq, first_idx = np.unique(reduced_domain.rows, axis=0, return_index=True)
-    support_rows = uniq[np.argsort(first_idx)]
-    support = Dataset(reduced_domain.schema, support_rows)
+    rows = reduced_domain.rows
+    support = Dataset._adopt(reduced_domain.schema, rows[_first_occurrences(rows)])
     return FitProblem(
         values=queries.values_matrix(support.rows),
         targets=targets,

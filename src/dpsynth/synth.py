@@ -123,7 +123,8 @@ def bootstrap(density: FiniteDensity, count: int, rng) -> Dataset:
     if count < 1:
         raise ValueError("count must be >= 1")
     idx = _inverse_cdf_sample(density.weights, count, np.random.default_rng(rng))
-    return Dataset(density.support.schema, density.support.rows[idx])
+    # A gather from the validated support needs no second check or copy.
+    return Dataset._adopt(density.support.schema, density.support.rows[idx])
 
 
 def _fmt(value) -> str:

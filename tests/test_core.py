@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 from dpsynth import (
     DataPoint,
     Dataset,
+    ExplicitDistribution,
     FiniteDensity,
+    ProductDistribution,
     QueryFamily,
     TestFunction,
     accuracy_error,
+    bootstrap,
+    build_lp,
     evaluate_all,
     evaluate_statistic,
     weighted_statistics,
@@ -208,6 +212,70 @@ class TestDatasetText:
                 ]:
                     with pytest.raises(ValueError, match=message):
                         Dataset.from_text(text[:start] + bad + text[end:])
+
+
+# The row dtype of a Dataset whose largest arity is the key: the narrowest
+# unsigned dtype that holds every index below it, int64 past 32 bits.
+ROW_DTYPES = {
+    1: np.uint8,
+    2**8: np.uint8,
+    2**8 + 1: np.uint16,
+    2**16: np.uint16,
+    2**16 + 1: np.uint32,
+    2**32: np.uint32,
+    2**32 + 1: np.int64,
+}
+
+
+class TestRowDtype:
+    @pytest.mark.parametrize("arity", ROW_DTYPES)
+    def test_narrowest_dtype_that_holds_the_schema(self, arity):
+        data = Dataset((2, arity), [[1, arity - 1], [0, 0]])
+        assert data.rows.dtype == ROW_DTYPES[arity]
+        assert data.rows.tolist() == [[1, arity - 1], [0, 0]]
+        assert not data.rows.flags.writeable
+        assert Dataset((arity,), []).rows.dtype == ROW_DTYPES[arity]
+
+    @pytest.mark.parametrize("arity", ROW_DTYPES)
+    def test_text_round_trip_keeps_values_and_dtype(self, arity):
+        data = Dataset((arity, 3), [[arity - 1, 2], [0, 1]])
+        again = Dataset.from_text(data.to_text())
+        assert again == data
+        assert again.rows.dtype == data.rows.dtype
+        assert again.rows.tolist() == data.rows.tolist()
+
+    @pytest.mark.parametrize("arity", ROW_DTYPES)
+    def test_cells_that_would_wrap_are_rejected_before_narrowing(self, arity):
+        # -1 wraps to the dtype's maximum and the arity itself (the first
+        # value out of range) to 0, unless the check runs on the wide values.
+        for bad in (-1, arity):
+            with pytest.raises(ValueError, match="^row values must lie within the schema arities$"):
+                Dataset((2, arity), [[0, 0], [1, bad]])
+        message = f"^invalid dataset: line 3, coordinate 2: value {arity} is not below its arity"
+        with pytest.raises(ValueError, match=message):
+            Dataset.from_text(f"2,{arity}\n0,0\n1,{arity}\n")
+
+    def test_adopted_rows_are_narrow_and_read_only(self):
+        schema = (2, 3, 300)
+        rng = np.random.default_rng(4)
+        sampling = ProductDistribution.uniform(schema)
+        sampled = sampling.sample(50, rng)
+        points = Dataset(schema, np.unique(sampled.rows, axis=0))
+        explicit = ExplicitDistribution(points, np.full(len(points), 1.0 / len(points)))
+        family = QueryFamily([TestFunction.assignment((2,), (299,))])
+        support = build_lp(family, sampled, [0.5]).support
+        adopted = [
+            Dataset.from_text(sampled.to_text()),
+            sampled,
+            explicit.sample(40, rng),
+            support,
+            bootstrap(FiniteDensity.uniform(support), 30, rng),
+        ]
+        for data in adopted:
+            assert data.rows.dtype == np.uint16
+            assert not data.rows.flags.writeable
+            with pytest.raises(ValueError):
+                data.rows[0, 0] = 1
 
 
 class TestEncoding:

@@ -51,6 +51,18 @@ class TestBuildLp:
         assert problem.support.rows[:, 0].tolist() == [2, 0, 1]
         assert problem.values.shape == (1, 3)
 
+    @pytest.mark.parametrize("schema", [(2,) * 5, (3, 300, 2), (70_000, 2)])
+    def test_support_matches_the_sorting_dedup_reference(self, schema):
+        rng = np.random.default_rng(len(schema))
+        rows = np.column_stack([rng.integers(0, min(a, 4), 500) for a in schema])
+        family = QueryFamily([TestFunction.constant_one()])
+        support = build_lp(family, Dataset(schema, rows), [1.0]).support.rows
+        # The np.unique merge the lexsort dedup replaced: first occurrences,
+        # in order of first appearance.
+        uniq, first = np.unique(rows, axis=0, return_index=True)
+        assert np.array_equal(support, uniq[np.argsort(first)])
+        assert support.dtype == Dataset(schema, rows).rows.dtype
+
     def test_empty_domain_rejected(self):
         family = QueryFamily([TestFunction.constant_one()])
         with pytest.raises(ValueError, match="empty reduced domain"):

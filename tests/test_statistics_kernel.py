@@ -25,7 +25,7 @@ from dpsynth import (
     marginal_family,
     weighted_statistics,
 )
-from dpsynth.core import _STATS_BLOCK
+from dpsynth.core import _STATS_BLOCK, TABLE_DOMAIN_CAP, _domain_size, _encode_rows
 
 WEIGHTS = st.floats(0.0, 1.0)
 
@@ -135,3 +135,59 @@ def test_block_boundaries(offset, blocks):
     w = rng.random(n)
     measure = ReweightedMeasure(data, w, float(w.sum()))
     assert np.array_equal(measure.statistics(family), oracle.weighted_sums(family, rows, w))
+
+
+# Schemas whose rows are held as uint8, uint16 or uint32; those with at most
+# TABLE_DOMAIN_CAP points also get a table, and (300, 300, 3), (257, 4, 256)
+# and (70_000, 2) have mixed-radix codes past 2^16.
+NARROW_SCHEMAS = [
+    (2, 3, 5), (256, 2, 7), (300, 300, 3), (257, 4, 256), (70_000, 2), (2, 70_000, 300),
+]
+
+
+@st.composite
+def narrow_instances(draw):
+    """A schema, a family on it and int64 rows over it whose cells are drawn
+    from a few values per coordinate, so conjunctions on wide arities hold."""
+    schema = draw(st.sampled_from(NARROW_SCHEMAS))
+    pools = [draw(st.lists(st.integers(0, a - 1), min_size=1, max_size=3)) for a in schema]
+    functions = [TestFunction.constant_one()]
+    for _ in range(draw(st.integers(0, 6))):
+        coords = draw(st.lists(st.integers(0, len(schema) - 1), min_size=1, unique=True))
+        functions.append(
+            TestFunction.assignment(coords, [draw(st.sampled_from(pools[c])) for c in coords])
+        )
+    if _domain_size(schema) <= TABLE_DOMAIN_CAP:
+        seed = draw(st.integers(0, 2**32 - 1))
+        table = np.random.default_rng(seed).uniform(-1.0, 1.0, _domain_size(schema))
+        functions.append(TestFunction.from_table(schema, table))
+    n = draw(st.integers(1, 30))
+    rows = np.array(
+        [[draw(st.sampled_from(pool)) for pool in pools] for _ in range(n)], dtype=np.int64
+    ).reshape(n, len(schema))
+    return schema, QueryFamily(functions), rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(narrow_instances(), st.data())
+def test_narrow_rows_match_the_reference_on_int64_rows(instance, data):
+    schema, family, wide = instance
+    points = Dataset(schema, wide)
+    narrow = points.rows
+    assert narrow.dtype.itemsize < 8 and np.array_equal(narrow, wide)
+    assert np.array_equal(evaluate_all(family, points), oracle.means(family, wide))
+    assert np.array_equal(family.values_matrix(narrow), oracle.values_matrix(family, wide))
+    raw = np.array(data.draw(st.lists(WEIGHTS, min_size=len(wide), max_size=len(wide))))
+    density = FiniteDensity(points, normalized(raw))
+    assert np.array_equal(
+        weighted_statistics(family, density), oracle.weighted_sums(family, wide, density.weights)
+    )
+    codes = [int(np.ravel_multi_index(tuple(row), schema)) for row in wide.tolist()]
+    assert _encode_rows(narrow, schema).tolist() == codes
+    product = ProductDistribution([normalized(np.arange(1.0, a + 1)) for a in schema])
+    assert np.array_equal(product.mass_many(narrow), product.mass_many(wide))
+    distinct = np.unique(wide, axis=0)
+    masses = normalized(np.arange(1.0, len(distinct) + 1))
+    explicit = ExplicitDistribution(Dataset(schema, distinct), masses)
+    assert np.array_equal(explicit.mass_many(explicit.points.rows), masses)
+    assert np.array_equal(explicit.mass_many(narrow), explicit.mass_many(wide))
