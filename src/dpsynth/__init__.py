@@ -18,7 +18,6 @@ from .audit import (
     reweighted_measure,
 )
 from .core import (
-    DataPoint,
     Dataset,
     FiniteDensity,
     QueryFamily,
@@ -40,8 +39,6 @@ from .distributions import (
 )
 from .mechanism import (
     PrivacyCheck,
-    PrivacyParams,
-    laplace_sample,
     laplace_vector,
     perturb,
     privacy_check,
@@ -56,17 +53,14 @@ from .synth import (
     PipelineConfig,
     PipelineReport,
     PrivacyGateError,
-    ValidationReport,
     bootstrap,
     generate,
-    validate_params,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BooleanExperimentResult",
-    "DataPoint",
     "Dataset",
     "DeviationCheckResult",
     "ExplicitDistribution",
@@ -80,14 +74,12 @@ __all__ = [
     "PrivacyAuditResult",
     "PrivacyCheck",
     "PrivacyGateError",
-    "PrivacyParams",
     "ProductDistribution",
     "QueryFamily",
     "ReweightedCheckResult",
     "ReweightedMeasure",
     "StatisticsVector",
     "TestFunction",
-    "ValidationReport",
     "accuracy_error",
     "boolean_experiment",
     "bootstrap",
@@ -99,7 +91,6 @@ __all__ = [
     "family_size_bound",
     "generate",
     "kappa_uniform",
-    "laplace_sample",
     "laplace_vector",
     "marginal_family",
     "parse_distribution_spec",
@@ -114,6 +105,5 @@ __all__ = [
     "sensitivity_bound",
     "sigma_for",
     "solve_min_max",
-    "validate_params",
     "weighted_statistics",
 ]

@@ -21,7 +21,7 @@ from .distributions import (
 )
 from .mechanism import laplace_vector
 from .queries import marginal_family
-from .synth import PipelineConfig, _fmt, generate
+from .synth import PipelineConfig, _accuracy_thresholds, _fmt, generate
 
 DEFAULT_AUDIT_SLACK = 0.15
 # A histogram cell with a zero count on one side is only treated as evidence
@@ -88,6 +88,7 @@ def deviation_check_empirical(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    threshold_n, _ = _accuracy_thresholds(len(queries), delta, gamma)
     rng = np.random.default_rng(rng)
     exact = exact_statistics(population, queries)
     failures = 0
@@ -98,7 +99,6 @@ def deviation_check_empirical(
             failures += 1
     failure_rate = failures / trials
     gate = gamma + 3.0 * math.sqrt(gamma / trials)
-    threshold_n = math.log(len(queries) / gamma) / delta**2
     return DeviationCheckResult(
         failure_rate=failure_rate,
         gate=gate,
@@ -147,6 +147,7 @@ def reweighted_deviation_check(
     rng = np.random.default_rng(rng)
     exact = exact_statistics(population, queries)
     kappa = renyi_condition_number_exact(population, sampling)
+    _, threshold_m = _accuracy_thresholds(len(queries), delta, gamma, kappa)
     failures = 0
     masses = []
     for _ in range(trials):
@@ -158,15 +159,16 @@ def reweighted_deviation_check(
         masses.append(measure.total_mass)
     failure_rate = failures / trials
     mean_r = math.fsum(masses) / trials
+    gate = gamma + 3.0 * math.sqrt(gamma / trials)
+    tolerance = 3.0 * math.sqrt(kappa / (m * trials))
     return ReweightedCheckResult(
         failure_rate=failure_rate,
         mean_r=mean_r,
-        gate=gamma + 3.0 * math.sqrt(gamma / trials),
-        mean_r_tolerance=3.0 * math.sqrt(kappa / (m * trials)),
-        threshold_m=kappa * len(queries) / (gamma * delta**2),
+        gate=gate,
+        mean_r_tolerance=tolerance,
+        threshold_m=threshold_m,
         trials=trials,
-        passed=failure_rate <= gamma + 3.0 * math.sqrt(gamma / trials)
-        and abs(mean_r - 1.0) <= 3.0 * math.sqrt(kappa / (m * trials)),
+        passed=failure_rate <= gate and abs(mean_r - 1.0) <= tolerance,
     )
 
 
@@ -230,8 +232,8 @@ def privacy_audit(
         raise ValueError("need trials >= 1 and bins >= 2")
     if len(queries) > 3:
         raise ValueError("histogram audit supports at most 3 statistics")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise ValueError("sigma must be positive and finite")
     _check_neighbors(d1, d2)
     rng = np.random.default_rng(rng)
     stats1 = evaluate_all(queries, d1)

@@ -19,19 +19,6 @@ TABLE_DOMAIN_CAP = 1 << 20
 _STATS_BLOCK = 1 << 18
 
 
-@dataclass(frozen=True)
-class DataPoint:
-    """A single record: one category index per coordinate."""
-
-    values: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
-
-
 class Dataset:
     """Ordered sequence of records over a fixed per-coordinate arity schema.
 
@@ -74,13 +61,6 @@ class Dataset:
     def __len__(self) -> int:
         return self._rows.shape[0]
 
-    def __getitem__(self, i: int) -> DataPoint:
-        return DataPoint(tuple(int(v) for v in self._rows[i]))
-
-    def __iter__(self) -> Iterator[DataPoint]:
-        for i in range(len(self)):
-            yield self[i]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
@@ -93,16 +73,6 @@ class Dataset:
         if self._schema != other._schema:
             raise ValueError("cannot concatenate datasets with different schemas")
         return Dataset(self._schema, np.vstack([self._rows, other.rows]))
-
-    @classmethod
-    def from_points(cls, schema: Sequence[int], points: Iterable) -> "Dataset":
-        rows = []
-        for pt in points:
-            if isinstance(pt, DataPoint):
-                rows.append(pt.values)
-            else:
-                rows.append(tuple(pt))
-        return cls(schema, rows)
 
     def to_text(self) -> str:
         """Serialize: arity line, then one comma-separated row per record."""
@@ -401,10 +371,6 @@ class TestFunction:
         """Vectorized evaluation over an (n, p) row array."""
         return QueryFamily((self,)).values_matrix(rows)[0]
 
-    def __call__(self, point) -> float:
-        vals = point.values if isinstance(point, DataPoint) else tuple(point)
-        return float(self.values(np.asarray([vals], dtype=np.int64))[0])
-
     def label(self) -> str:
         if self.table is not None:
             return "table"
@@ -567,8 +533,8 @@ class FiniteDensity:
         w = np.array(self.weights, dtype=float, copy=True)
         if w.ndim != 1 or len(w) != len(self.support):
             raise ValueError("need exactly one weight per support point")
-        if (w < 0).any():
-            raise ValueError("weights must be nonnegative")
+        if not (np.isfinite(w) & (w >= 0)).all():
+            raise ValueError("weights must be nonnegative and finite")
         if abs(math.fsum(w) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1 within 1e-9")
         w.setflags(write=False)

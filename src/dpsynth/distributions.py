@@ -45,8 +45,10 @@ class ProductDistribution:
             v = np.array(vec, dtype=float, copy=True).reshape(-1)
             if len(v) < 1:
                 raise ValueError(f"coordinate {i + 1}: empty probability vector")
-            if (v < 0).any():
-                raise ValueError(f"coordinate {i + 1}: probabilities must be nonnegative")
+            if not (np.isfinite(v) & (v >= 0)).all():
+                raise ValueError(
+                    f"coordinate {i + 1}: probabilities must be nonnegative and finite"
+                )
             if abs(math.fsum(v) - 1.0) > 1e-12:
                 raise ValueError(f"coordinate {i + 1}: probabilities must sum to 1 within 1e-12")
             v.setflags(write=False)
@@ -66,13 +68,6 @@ class ProductDistribution:
     @property
     def schema(self) -> tuple[int, ...]:
         return tuple(len(v) for v in self._vectors)
-
-    def mass(self, point) -> float:
-        vals = point.values if hasattr(point, "values") else tuple(point)
-        out = 1.0
-        for v, x in zip(self._vectors, vals):
-            out *= v[int(x)]
-        return float(out)
 
     def mass_many(self, rows: np.ndarray) -> np.ndarray:
         out = np.ones(rows.shape[0])
@@ -109,8 +104,8 @@ class ExplicitDistribution:
             raise ValueError("need exactly one mass per point")
         if len(points) == 0:
             raise ValueError("need at least one point")
-        if (m < 0).any():
-            raise ValueError("masses must be nonnegative")
+        if not (np.isfinite(m) & (m >= 0)).all():
+            raise ValueError("masses must be nonnegative and finite")
         if abs(math.fsum(m) - 1.0) > 1e-12:
             raise ValueError("masses must sum to 1 within 1e-12")
         if len(_first_occurrences(points.rows)) != len(points):
@@ -135,11 +130,6 @@ class ExplicitDistribution:
     @property
     def schema(self) -> tuple[int, ...]:
         return self._points.schema
-
-    def mass(self, point) -> float:
-        vals = point.values if hasattr(point, "values") else tuple(point)
-        rows = np.asarray([vals], dtype=np.int64)
-        return float(self.mass_many(rows)[0])
 
     def mass_many(self, rows: np.ndarray) -> np.ndarray:
         codes = _encode_rows(rows, self.schema)

@@ -32,8 +32,8 @@ def _laplace_from_uniform(sigma: float, u: np.ndarray) -> np.ndarray:
 
 def laplace_vector(sigma: float, size, rng) -> np.ndarray:
     """Independent Laplace draws with P(|lam| > t) = exp(-t/sigma); size may be a shape."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise ValueError("sigma must be positive and finite")
     rng = np.random.default_rng(rng)
     u = rng.random(size)
     # u = 0 would map to an infinite draw; redraw the (measure-zero) hits.
@@ -43,11 +43,6 @@ def laplace_vector(sigma: float, size, rng) -> np.ndarray:
             break
         u[zeros] = rng.random(int(zeros.sum()))
     return _laplace_from_uniform(sigma, u)
-
-
-def laplace_sample(sigma: float, rng) -> float:
-    """One Laplace draw."""
-    return float(laplace_vector(sigma, 1, rng)[0])
 
 
 def sensitivity_bound(family_size: int, n: int) -> float:
@@ -61,8 +56,8 @@ def sensitivity_bound(family_size: int, n: int) -> float:
 
 def sigma_for(delta_target: float, family_size: int, gamma: float) -> float:
     """Noise scale that keeps the worst of |F| draws below delta_target w.p. 1 - gamma."""
-    if delta_target <= 0:
-        raise ValueError("delta_target must be positive")
+    if not (delta_target > 0 and math.isfinite(delta_target)):
+        raise ValueError("delta_target must be positive and finite")
     if family_size < 1:
         raise ValueError("family size must be >= 1")
     if not 0 < gamma < 1:
@@ -75,42 +70,43 @@ def sigma_for(delta_target: float, family_size: int, gamma: float) -> float:
 
 @dataclass(frozen=True)
 class PrivacyCheck:
-    """Outcome of the privacy budget gate for one release."""
+    """The privacy ledger of one release: noise scale, budget and the size gate."""
 
     passed: bool
     required_n: float
     epsilon: float
     sigma: float
     sensitivity: float
-
-    def report_text(self) -> str:
-        lines = [
-            f"sigma = {self.sigma:.9g}",
-            f"epsilon = {self.epsilon:.9g}",
-            f"sensitivity = {self.sensitivity:.9g}",
-            f"required_n = {self.required_n:.9g}",
-        ]
-        return "\n".join(lines) + "\n"
+    epsilon_achieved: float
 
 
 def privacy_check(
-    n: int, epsilon: float, delta_target: float, family_size: int, gamma: float
+    n: int, epsilon: float | None, delta_target: float, family_size: int, gamma: float
 ) -> PrivacyCheck:
     """Gate: n must reach 2/(epsilon*delta) * |F| * ln(|F|/gamma).
 
-    Equivalently the release passes when sensitivity_bound / sigma_for is at
-    most epsilon.
+    Equivalently the release passes when sensitivity_bound / sigma_for, the
+    achieved epsilon, is at most epsilon. With ``epsilon=None`` no budget is
+    requested: the achieved epsilon stands in for it and the check passes.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if epsilon is not None and not (epsilon > 0 and math.isfinite(epsilon)):
+        raise ValueError("epsilon must be positive and finite")
     sigma = sigma_for(delta_target, family_size, gamma)
-    required_n = 2.0 * family_size * math.log(family_size / gamma) / (epsilon * delta_target)
+    sensitivity = sensitivity_bound(family_size, n)
+    try:
+        achieved = sensitivity / sigma
+        budget = achieved if epsilon is None else epsilon
+        required_n = 2.0 * family_size * math.log(family_size / gamma) / (budget * delta_target)
+    except ZeroDivisionError:
+        raise ValueError("delta_target and epsilon are too small: the noise scale or "
+                         "epsilon * delta_target underflows to 0") from None
     return PrivacyCheck(
-        passed=n >= required_n,
+        passed=epsilon is None or n >= required_n,
         required_n=required_n,
-        epsilon=epsilon,
+        epsilon=budget,
         sigma=sigma,
-        sensitivity=sensitivity_bound(family_size, n),
+        sensitivity=sensitivity,
+        epsilon_achieved=achieved,
     )
 
 
@@ -118,55 +114,3 @@ def perturb(stats: StatisticsVector, sigma: float, rng) -> StatisticsVector:
     """Add one independent Laplace draw per statistic. No clipping afterwards."""
     stats = np.asarray(stats, dtype=float)
     return stats + laplace_vector(sigma, len(stats), rng)
-
-
-@dataclass(frozen=True)
-class PrivacyParams:
-    """Resolved per-release noise and budget parameters."""
-
-    epsilon: float
-    delta_target: float
-    gamma: float
-    sigma: float
-    family_size: int
-    n: int
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.delta_target <= 0:
-            raise ValueError("delta_target must be positive")
-        if not 0 < self.gamma < 1:
-            raise ValueError("gamma must lie in (0, 1)")
-        if self.family_size < 1 or self.n < 1:
-            raise ValueError("family size and n must be >= 1")
-
-    @classmethod
-    def derive(
-        cls,
-        delta_target: float,
-        gamma: float,
-        family_size: int,
-        n: int,
-        epsilon: float | None = None,
-    ) -> "PrivacyParams":
-        """Canonical construction: sigma from (delta, |F|, gamma), epsilon achieved."""
-        sigma = sigma_for(delta_target, family_size, gamma)
-        if epsilon is None:
-            epsilon = sensitivity_bound(family_size, n) / sigma
-        return cls(
-            epsilon=epsilon,
-            delta_target=delta_target,
-            gamma=gamma,
-            sigma=sigma,
-            family_size=family_size,
-            n=n,
-        )
-
-    @property
-    def achieved_epsilon(self) -> float:
-        return sensitivity_bound(self.family_size, self.n) / self.sigma
-
-    def in_accuracy_range(self) -> bool:
-        """Whether (delta, gamma) lie in the range the accuracy analysis needs."""
-        return 0 < self.delta_target <= 0.5 and 0 < self.gamma < 0.25

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import Dataset, FiniteDensity, QueryFamily, evaluate_all
 from .distributions import _inverse_cdf_sample
-from .mechanism import perturb, privacy_check, sensitivity_bound, sigma_for
+from .mechanism import perturb, privacy_check
 from .optimize import build_lp, solve_min_max
 
 
@@ -33,8 +33,7 @@ class PipelineConfig:
 
     ``epsilon`` is optional: when omitted the achieved value 2|F|/(n*sigma) is
     reported; when supplied the run aborts unless the privacy gate passes or
-    ``allow_privacy_failure`` is set. ``sigma_override`` is a test hook that
-    bypasses the canonical noise scale.
+    ``allow_privacy_failure`` is set.
     """
 
     delta_target: float
@@ -45,77 +44,40 @@ class PipelineConfig:
     epsilon: float | None = None
     kappa_bound: float = 1.0
     allow_privacy_failure: bool = False
-    sigma_override: float | None = None
     export_noisy_targets: bool = False
 
     def __post_init__(self):
-        if self.delta_target <= 0:
-            raise ValueError("delta_target must be positive")
+        # Written so that NaN fails each comparison.
+        if not (self.delta_target > 0 and math.isfinite(self.delta_target)):
+            raise ValueError("delta_target must be positive and finite")
         if not 0 < self.gamma < 1:
             raise ValueError("gamma must lie in (0, 1)")
         if self.synthetic_size < 1:
             raise ValueError("synthetic_size must be >= 1")
         if self.reduced_size < 1:
             raise ValueError("reduced_size must be >= 1")
-        if self.kappa_bound < 1.0:
-            raise ValueError("kappa_bound must be >= 1")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive when given")
-        if self.sigma_override is not None and self.sigma_override <= 0:
-            raise ValueError("sigma_override must be positive when given")
+        if not (self.kappa_bound >= 1.0 and math.isfinite(self.kappa_bound)):
+            raise ValueError("kappa_bound must be >= 1 and finite")
+        if self.epsilon is not None and not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise ValueError("epsilon must be positive and finite when given")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Advisory check of the run parameters against the guarantee thresholds."""
-
-    privacy_passed: bool
-    accuracy_passed: bool
-    config_in_range: bool
-    accuracy_threshold_n_k: float
-    accuracy_threshold_m: float
-    required_n: float
-    epsilon: float
-    sigma: float
-    sensitivity: float
-
-
-def validate_params(config: PipelineConfig, n: int, family_size: int) -> ValidationReport:
-    """Compare (n, k, m) against the accuracy thresholds and run the privacy gate.
-
-    Accuracy needs min(n, k) >= ln(|F|/gamma)/delta^2 and
-    m >= kappa_bound * |F| / (gamma * delta^2); both checks are advisory.
-    """
-    delta = config.delta_target
-    gamma = config.gamma
-    thr_nk = math.log(family_size / gamma) / delta**2
-    thr_m = config.kappa_bound * family_size / (gamma * delta**2)
-    accuracy_passed = min(n, config.synthetic_size) >= thr_nk and config.reduced_size >= thr_m
-    config_in_range = 0 < delta <= 0.5 and 0 < gamma < 0.25
-    sigma = sigma_for(delta, family_size, gamma) if config.sigma_override is None else config.sigma_override
-    achieved = sensitivity_bound(family_size, n) / sigma
-    epsilon = config.epsilon if config.epsilon is not None else achieved
-    check = privacy_check(n, epsilon, delta, family_size, gamma)
-    if config.epsilon is None:
-        # No budget was requested; the report simply echoes the achieved one.
-        privacy_passed = True
-    elif config.sigma_override is not None:
-        # With an overridden noise scale the threshold formula no longer
-        # matches the actual noise, so gate on the achieved budget directly.
-        privacy_passed = achieved <= epsilon
-    else:
-        privacy_passed = check.passed
-    return ValidationReport(
-        privacy_passed=privacy_passed,
-        accuracy_passed=accuracy_passed,
-        config_in_range=config_in_range,
-        accuracy_threshold_n_k=thr_nk,
-        accuracy_threshold_m=thr_m,
-        required_n=check.required_n,
-        epsilon=epsilon,
-        sigma=sigma,
-        sensitivity=check.sensitivity,
-    )
+def _accuracy_thresholds(
+    family_size: int, delta: float, gamma: float, kappa: float = 1.0
+) -> tuple[float, float]:
+    """The sizes the accuracy analysis needs: ln(|F|/gamma)/delta^2 for n and k
+    (and the plain sampling audit), kappa*|F|/(gamma*delta^2) for m."""
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValueError("delta must be positive and finite")
+    if not 0 < gamma < 1:
+        raise ValueError("gamma must lie in (0, 1)")
+    try:
+        delta_sq = delta**2
+    except OverflowError:
+        raise ValueError(f"delta = {delta:.9g} is too large: delta^2 overflows") from None
+    if delta_sq == 0.0:
+        raise ValueError(f"delta = {delta:.9g} is too small: delta^2 underflows to 0")
+    return math.log(family_size / gamma) / delta_sq, kappa * family_size / (gamma * delta_sq)
 
 
 def bootstrap(density: FiniteDensity, count: int, rng) -> Dataset:
@@ -198,19 +160,20 @@ def generate(
     family_size = len(queries)
     n = len(data)
 
-    validation = validate_params(config, n, family_size)
-    if config.epsilon is not None and not validation.privacy_passed:
-        if not config.allow_privacy_failure:
-            raise PrivacyGateError(
-                f"epsilon = {config.epsilon:.9g} needs n >= {validation.required_n:.9g}, "
-                f"got n = {n}"
-            )
+    ledger = privacy_check(n, config.epsilon, config.delta_target, family_size, config.gamma)
+    if not (ledger.passed or config.allow_privacy_failure):
+        raise PrivacyGateError(
+            f"epsilon = {config.epsilon:.9g} needs n >= {ledger.required_n:.9g}, got n = {n}"
+        )
+    thr_nk, thr_m = _accuracy_thresholds(
+        family_size, config.delta_target, config.gamma, config.kappa_bound
+    )
 
     seed_root = np.random.SeedSequence(config.seed)
     noise_seq, domain_seq, boot_seq = seed_root.spawn(3)
 
     exact_stats = evaluate_all(queries, data)  # the single read of the data
-    noisy = perturb(exact_stats, validation.sigma, np.random.default_rng(noise_seq))
+    noisy = perturb(exact_stats, ledger.sigma, np.random.default_rng(noise_seq))
     reduced = sampling.sample(config.reduced_size, np.random.default_rng(domain_seq))
     problem = build_lp(queries, reduced, noisy)
     solution = solve_min_max(problem)
@@ -221,19 +184,19 @@ def generate(
     )
 
     report = PipelineReport(
-        sigma=validation.sigma,
-        epsilon_achieved=validation.sensitivity / validation.sigma,
+        sigma=ledger.sigma,
+        epsilon_achieved=ledger.epsilon_achieved,
         lp_objective=solution.objective,
-        accuracy_threshold_n_k=validation.accuracy_threshold_n_k,
-        accuracy_threshold_m=validation.accuracy_threshold_m,
+        accuracy_threshold_n_k=thr_nk,
+        accuracy_threshold_m=thr_m,
         seed=config.seed,
         family_size=family_size,
-        epsilon=validation.epsilon,
-        sensitivity=validation.sensitivity,
-        required_n=validation.required_n,
-        privacy_passed=validation.privacy_passed,
-        accuracy_passed=validation.accuracy_passed,
-        config_in_range=validation.config_in_range,
+        epsilon=ledger.epsilon,
+        sensitivity=ledger.sensitivity,
+        required_n=ledger.required_n,
+        privacy_passed=ledger.passed,
+        accuracy_passed=min(n, config.synthetic_size) >= thr_nk and config.reduced_size >= thr_m,
+        config_in_range=0 < config.delta_target <= 0.5 and 0 < config.gamma < 0.25,
         lp_status=solution.status,
         lp_iterations=solution.iterations,
         constant_one_added=constant_added,

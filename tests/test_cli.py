@@ -280,3 +280,71 @@ class TestTopLevel:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+
+NON_FINITE_BASE = {
+    "generate": [
+        "generate", "--data", "{data}", "--queries", "marginals monotone d=1",
+        "--mu", "uniform", "--delta", "0.25", "--gamma", "0.1", "--k", "120",
+        "--m", "100", "--seed", "7", "--out", "{out}",
+    ],
+    "lemma3": [
+        "audit", "lemma3", "--nu", "uniform 2,2,2,2", "--queries", "marginals monotone d=1",
+        "--n", "98", "--delta", "0.2", "--gamma", "0.1", "--trials", "20", "--seed", "11",
+    ],
+    "lemma4": [
+        "audit", "lemma4", "--nu", "uniform 2", "--mu", "uniform 2",
+        "--queries", "indicator S=1 values=0", "--m", "50", "--delta", "0.2",
+        "--gamma", "0.1", "--trials", "20", "--seed", "13",
+    ],
+    "dp": [
+        "audit", "dp", "--queries", "indicator S=1 values=1", "--sigma", "0.2",
+        "--d1", "{data}", "--d2", "{data}", "--trials", "100", "--bins", "4", "--seed", "14",
+    ],
+    "kappa": ["kappa", "--nu", "uniform 2", "--mu", "uniform 2"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        ("generate", ["--kappa-bound", "nan"], "kappa_bound must be >= 1"),
+        ("generate", ["--epsilon", "nan"], "epsilon must be positive"),
+        ("generate", ["--delta", "nan"], "delta_target must be positive"),
+        ("generate", ["--delta", "inf"], "delta_target must be positive and finite"),
+        ("generate", ["--delta", "1e300"], "delta^2 overflows"),
+        ("generate", ["--delta", "1e-200"], "delta^2 underflows to 0"),
+        ("generate", ["--delta", "1e-200", "--epsilon", "1e-200"], "underflows to 0"),
+        ("generate", ["--kappa-bound", "inf"], "kappa_bound must be >= 1 and finite"),
+        ("generate", ["--epsilon", "inf"], "epsilon must be positive and finite"),
+        ("lemma3", ["--delta", "1e300"], "delta^2 overflows"),
+        ("lemma3", ["--delta", "1e-200"], "delta^2 underflows to 0"),
+        ("lemma3", ["--delta", "nan"], "delta must be positive and finite"),
+        ("lemma3", ["--gamma", "nan"], "gamma must lie in (0, 1)"),
+        ("lemma4", ["--delta", "nan"], "delta must be positive and finite"),
+        ("dp", ["--sigma", "nan"], "sigma must be positive"),
+        ("dp", ["--sigma", "inf"], "sigma must be positive and finite"),
+        ("lemma3", ["--nu", "product\nnan,nan\nnan,nan\n"], "probabilities must be nonnegative"),
+        ("kappa", ["--nu", "explicit 2\n0;nan\n1;nan\n"], "masses must be nonnegative"),
+    ],
+    ids=[
+        "generate-kappa-nan", "generate-epsilon-nan", "generate-delta-nan",
+        "generate-delta-inf", "generate-delta-overflow", "generate-delta-underflow",
+        "generate-ledger-underflow", "generate-kappa-inf",
+        "generate-epsilon-inf", "lemma3-delta-overflow", "lemma3-delta-underflow",
+        "lemma3-delta-nan",
+        "lemma3-gamma-nan", "lemma4-delta-nan", "dp-sigma-nan", "dp-sigma-inf",
+        "lemma3-nan-probabilities", "kappa-nan-masses",
+    ],
+)
+def test_non_finite_parameters_exit_with_one_error_line(
+    command, extra, message, data_file, tmp_path, capsys
+):
+    fill = {"data": str(data_file), "out": str(tmp_path / "synthetic.txt")}
+    argv = [arg.format(**fill) for arg in NON_FINITE_BASE[command]] + extra
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "synthetic.txt").exists()

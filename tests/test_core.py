@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpsynth import (
-    DataPoint,
     Dataset,
     ExplicitDistribution,
     FiniteDensity,
@@ -42,9 +41,8 @@ class TestDataset:
     def test_basic_construction(self, small_dataset):
         assert small_dataset.schema == (2, 2, 2)
         assert len(small_dataset) == 5
-        assert small_dataset[1] == DataPoint((1, 0, 1))
-        assert [pt.values for pt in small_dataset] == [
-            (0, 0, 0), (1, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)
+        assert small_dataset.rows.tolist() == [
+            [0, 0, 0], [1, 0, 1], [1, 1, 0], [0, 1, 1], [1, 1, 1]
         ]
 
     def test_empty_rows_allowed(self):
@@ -87,15 +85,9 @@ class TestDataset:
         b = Dataset((2, 2), [[1, 1], [0, 1]])
         merged = a.concat(b)
         assert len(merged) == 3
-        assert merged[2] == DataPoint((0, 1))
+        assert merged.rows.tolist() == [[0, 0], [1, 1], [0, 1]]
         with pytest.raises(ValueError, match="different schemas"):
             a.concat(Dataset((2, 3), [[0, 0]]))
-
-    def test_from_points(self):
-        data = Dataset.from_points((2, 3), [DataPoint((1, 2)), (0, 1)])
-        assert len(data) == 2
-        assert data[0] == DataPoint((1, 2))
-        assert data[1] == DataPoint((0, 1))
 
 
 class TestDatasetText:
@@ -339,9 +331,8 @@ class TestTestFunction:
         schema = (2, 3)
         table = [0.0, 0.5, -1.0, 1.0, 0.25, -0.5]
         f = TestFunction.from_table(schema, table)
-        rows = np.array([[0, 2], [1, 1], [0, 0]], dtype=np.int64)
-        assert list(f.values(rows)) == [-1.0, 0.25, 0.0]
-        assert f((1, 0)) == 1.0
+        rows = np.array([[0, 2], [1, 1], [0, 0], [1, 0]], dtype=np.int64)
+        assert list(f.values(rows)) == [-1.0, 0.25, 0.0, 1.0]
 
     def test_table_validation(self):
         with pytest.raises(ValueError, match="cover the whole domain"):
@@ -358,11 +349,6 @@ class TestTestFunction:
     def test_all_ones_table_is_constant(self):
         f = TestFunction.from_table((2,), [1.0, 1.0])
         assert f.is_constant_one
-
-    def test_call_on_point_and_tuple(self):
-        f = TestFunction.monotone((0, 1))
-        assert f(DataPoint((1, 1))) == 1.0
-        assert f((1, 0)) == 0.0
 
     def test_check_schema_monotone_needs_boolean(self):
         f = TestFunction.monotone((1,))
@@ -436,6 +422,10 @@ class TestFiniteDensity:
             FiniteDensity(small_dataset, [0.5, 0.7, -0.2, 0.0, 0.0])
         with pytest.raises(ValueError, match="sum to 1"):
             FiniteDensity(small_dataset, [0.5, 0.2, 0.1, 0.1, 0.2])
+        with pytest.raises(ValueError, match="weights must be nonnegative and finite"):
+            FiniteDensity(small_dataset, [math.nan] * 5)
+        with pytest.raises(ValueError, match="weights must be nonnegative and finite"):
+            FiniteDensity(small_dataset, [1.0, math.nan, 0.0, 0.0, 0.0])
 
     def test_uniform_and_point_mass(self, small_dataset):
         uni = FiniteDensity.uniform(small_dataset)

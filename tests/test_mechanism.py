@@ -6,8 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpsynth import (
-    PrivacyParams,
-    laplace_sample,
     laplace_vector,
     perturb,
     privacy_check,
@@ -51,11 +49,9 @@ class TestLaplaceSampling:
     def test_sigma_validation(self):
         with pytest.raises(ValueError, match="sigma must be positive"):
             laplace_vector(0.0, 10, np.random.default_rng(0))
-
-    def test_single_sample(self):
-        value = laplace_sample(1.0, np.random.default_rng(3))
-        assert isinstance(value, float)
-        assert math.isfinite(value)
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma must be positive and finite"):
+                laplace_vector(sigma, 10, np.random.default_rng(0))
 
     def test_all_draws_finite(self):
         draws = laplace_vector(1e-6, 100_000, np.random.default_rng(9))
@@ -94,6 +90,11 @@ class TestSigmaFor:
             sigma_for(0.1, 0, 0.1)
         with pytest.raises(ValueError, match="gamma must lie"):
             sigma_for(0.1, 10, 1.0)
+        for delta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="delta_target must be positive and finite"):
+                sigma_for(delta, 10, 0.1)
+        with pytest.raises(ValueError, match="gamma must lie"):
+            sigma_for(0.1, 10, math.nan)
 
 
 class TestPrivacyCheck:
@@ -108,12 +109,58 @@ class TestPrivacyCheck:
         with pytest.raises(ValueError, match="epsilon must be positive"):
             privacy_check(100, 0.0, 0.1, 10, 0.1)
 
-    def test_report_text(self):
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            ((10, math.nan, 0.1, 56, 0.01), "epsilon must be positive and finite"),
+            ((10, math.inf, 0.1, 56, 0.01), "epsilon must be positive and finite"),
+            ((10, None, math.nan, 56, 0.01), "delta_target must be positive and finite"),
+            ((10, 1.0, math.inf, 56, 0.01), "delta_target must be positive and finite"),
+            ((10, None, 0.1, 56, math.nan), "gamma must lie in"),
+            ((10, 1e-200, 1e-200, 56, 0.01), "underflows to 0"),
+            ((10, None, 5e-324, 56, 0.01), "underflows to 0"),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            privacy_check(*args)
+
+    def test_no_epsilon_reports_the_achieved_budget(self):
         check = privacy_check(10_000, 1.0, 0.1, 56, 0.01)
-        text = check.report_text()
-        assert "sigma = 0.0115867848\n" in text
-        assert "epsilon = 1\n" in text
-        assert "required_n = 9666.1845\n" in text
+        assert check.sigma == pytest.approx(0.011586784835075014, rel=1e-12)
+        free = privacy_check(10_000, None, 0.1, 56, 0.01)
+        assert free.passed
+        assert free.sigma == check.sigma
+        assert free.epsilon == free.epsilon_achieved
+        assert free.epsilon_achieved == sensitivity_bound(56, 10_000) / free.sigma
+        # the required_n expression in its original operation order, with
+        # the achieved budget standing in for a requested one
+        assert free.required_n == (
+            2.0 * 56 * math.log(56 / 0.01) / (free.epsilon_achieved * 0.1)
+        )
+
+    @given(
+        n=st.integers(min_value=1, max_value=10**7),
+        delta=st.floats(min_value=1e-3, max_value=0.5),
+        family_size=st.integers(min_value=1, max_value=10**4),
+        gamma=st.floats(min_value=1e-4, max_value=0.24),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_no_epsilon_always_passes(self, n, delta, family_size, gamma):
+        # analytically required_n == n here, and rounding must not fail the check
+        check = privacy_check(n, None, delta, family_size, gamma)
+        assert check.passed
+        assert check.epsilon == check.epsilon_achieved
+        assert check.required_n == (
+            2.0 * family_size * math.log(family_size / gamma)
+            / (check.epsilon_achieved * delta)
+        )
+
+    def test_requested_epsilon_beside_the_achieved_one(self):
+        check = privacy_check(10_000, 1.0, 0.1, 56, 0.01)
+        assert check.epsilon == 1.0
+        assert check.epsilon_achieved == sensitivity_bound(56, 10_000) / check.sigma
+        assert check.epsilon_achieved < 1.0
 
     @given(
         n=st.integers(min_value=1, max_value=10**7),
@@ -148,32 +195,3 @@ class TestPerturb:
     def test_preserves_length(self):
         noisy = perturb(np.zeros(7), 1.0, np.random.default_rng(1))
         assert noisy.shape == (7,)
-
-
-class TestPrivacyParams:
-    def test_derive_without_epsilon_reports_achieved(self):
-        params = PrivacyParams.derive(0.1, 0.01, 56, 10_000)
-        assert params.sigma == pytest.approx(0.011586784835075014, rel=1e-12)
-        assert params.epsilon == params.achieved_epsilon
-        assert params.achieved_epsilon == pytest.approx(
-            sensitivity_bound(56, 10_000) / params.sigma, rel=1e-15
-        )
-
-    def test_derive_with_epsilon(self):
-        params = PrivacyParams.derive(0.1, 0.01, 56, 10_000, epsilon=1.0)
-        assert params.epsilon == 1.0
-        assert params.achieved_epsilon < 1.0
-
-    def test_accuracy_range(self):
-        ok = PrivacyParams.derive(0.5, 0.2, 10, 100)
-        assert ok.in_accuracy_range()
-        wide_delta = PrivacyParams.derive(0.51, 0.2, 10, 100)
-        assert not wide_delta.in_accuracy_range()
-        wide_gamma = PrivacyParams.derive(0.5, 0.25, 10, 100)
-        assert not wide_gamma.in_accuracy_range()
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="sigma must be positive"):
-            PrivacyParams(1.0, 0.1, 0.1, 0.0, 10, 100)
-        with pytest.raises(ValueError, match="gamma must lie"):
-            PrivacyParams(1.0, 0.1, 1.5, 0.1, 10, 100)

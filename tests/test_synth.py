@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from dpsynth import (
     evaluate_all,
     generate,
     marginal_family,
-    validate_params,
 )
 from dpsynth import optimize, synth
 
@@ -58,14 +58,54 @@ class TestPipelineConfig:
             base_config(kappa_bound=0.5)
         with pytest.raises(ValueError, match="epsilon"):
             base_config(epsilon=-1.0)
-        with pytest.raises(ValueError, match="sigma_override"):
-            base_config(sigma_override=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("delta_target", math.nan, "delta_target must be positive"),
+            ("delta_target", math.inf, "delta_target must be positive and finite"),
+            ("gamma", math.nan, "gamma must lie in"),
+            ("kappa_bound", math.nan, "kappa_bound must be >= 1"),
+            ("kappa_bound", math.inf, "kappa_bound must be >= 1 and finite"),
+            ("epsilon", math.nan, "epsilon must be positive"),
+            ("epsilon", math.inf, "epsilon must be positive and finite"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            base_config(**{field: value})
+
+    def test_delta_whose_square_overflows_is_a_value_error(self):
+        data = Dataset((2,) * 4, [[0, 1, 0, 1]] * 20)
+        config = base_config(delta_target=1e300, reduced_size=10)
+        with pytest.raises(ValueError, match="delta\\^2 overflows"):
+            generate(data, marginal_family(4, 1, "monotone"),
+                     ProductDistribution.uniform((2,) * 4), config)
+
+
+def release_report(n, p, d, **overrides):
+    """The report of one release of n random Boolean rows on p coordinates
+    with the monotone marginals of order d."""
+    rows = np.random.default_rng(n + p).integers(0, 2, size=(n, p))
+    result = generate(
+        Dataset((2,) * p, rows),
+        marginal_family(p, d, "monotone"),
+        ProductDistribution.uniform((2,) * p),
+        base_config(**overrides),
+    )
+    return result.report
 
 
 class TestValidateParams:
+    """The run parameters against the guarantee thresholds, as generate reports them.
+
+    p=16, d=1 gives |F| = 17; p=10, d=2 gives |F| = 56.
+    """
+
     def test_frozen_thresholds(self):
         # ln(17/0.1)/0.2^2 and 1.0 * 17 / (0.1 * 0.2^2), evaluated independently
-        report = validate_params(base_config(), n=150, family_size=17)
+        report = release_report(150, 16, 1)
+        assert report.family_size == 17
         assert report.accuracy_threshold_n_k == pytest.approx(
             128.39496092625654, rel=1e-12
         )
@@ -76,41 +116,31 @@ class TestValidateParams:
         assert report.privacy_passed  # no epsilon requested
 
     def test_accuracy_flags(self):
-        assert not validate_params(
-            base_config(reduced_size=4249), n=150, family_size=17
-        ).accuracy_passed
-        assert not validate_params(
-            base_config(synthetic_size=128), n=150, family_size=17
-        ).accuracy_passed
-        assert validate_params(
-            base_config(synthetic_size=129), n=150, family_size=17
-        ).accuracy_passed
+        assert not release_report(150, 16, 1, reduced_size=4249).accuracy_passed
+        assert not release_report(150, 16, 1, synthetic_size=128).accuracy_passed
+        assert release_report(150, 16, 1, synthetic_size=129).accuracy_passed
 
     def test_config_range_flag(self):
-        assert not validate_params(
-            base_config(delta_target=0.6), n=150, family_size=17
-        ).config_in_range
-        assert not validate_params(
-            base_config(gamma=0.3), n=150, family_size=17
-        ).config_in_range
+        assert not release_report(150, 16, 1, delta_target=0.6).config_in_range
+        assert not release_report(150, 16, 1, gamma=0.3).config_in_range
+
+    def test_config_range_boundaries(self):
+        # 0 < delta <= 0.5 and 0 < gamma < 0.25
+        small = dict(synthetic_size=20, reduced_size=50)
+        assert release_report(100, 4, 1, delta_target=0.5, gamma=0.2, **small).config_in_range
+        assert not release_report(100, 4, 1, delta_target=0.51, gamma=0.2, **small).config_in_range
+        assert not release_report(100, 4, 1, delta_target=0.5, gamma=0.25, **small).config_in_range
 
     def test_privacy_gate_frozen_threshold(self):
-        config = base_config(delta_target=0.1, gamma=0.01, epsilon=1.0)
-        report = validate_params(config, n=10_000, family_size=56)
+        gate = dict(delta_target=0.1, gamma=0.01, epsilon=1.0, reduced_size=300)
+        report = release_report(10_000, 10, 2, **gate)
+        assert report.family_size == 56
         assert report.required_n == pytest.approx(9666.184501930029, rel=1e-12)
         assert report.privacy_passed
-        failing = validate_params(config, n=9_000, family_size=56)
+        failing = release_report(9_000, 10, 2, allow_privacy_failure=True, **gate)
         assert not failing.privacy_passed
-
-    def test_sigma_override_gates_on_achieved_budget(self):
-        config = base_config(delta_target=0.1, gamma=0.01, epsilon=1.0,
-                             sigma_override=100.0)
-        report = validate_params(config, n=10, family_size=56)
-        assert report.sigma == 100.0
-        assert report.privacy_passed  # 2*56/10/100 = 0.112 <= 1
-        tight = base_config(delta_target=0.1, gamma=0.01, epsilon=1.0,
-                            sigma_override=1e-6)
-        assert not validate_params(tight, n=10, family_size=56).privacy_passed
+        with pytest.raises(PrivacyGateError, match="needs n >= 9666.1845, got n = 9000"):
+            release_report(9_000, 10, 2, **gate)
 
 
 class TestBootstrap:
@@ -348,3 +378,45 @@ class TestPipelineReport:
         )
         text = generate(data, family, sampling, exporting).report.to_text()
         assert "noisy_targets = " in text
+
+    @pytest.mark.parametrize(
+        "n, p, d, overrides, expected",
+        [
+            (
+                400, 6, 1, dict(synthetic_size=200, reduced_size=150, seed=99),
+                "sigma = 0.0470754911\nepsilon_achieved = 0.743486667\n"
+                "accuracy_threshold_n_k = 106.212381\naccuracy_threshold_m = 1750\n"
+                "seed = 99\nfamily_size = 7\nepsilon = 0.743486667\nsensitivity = 0.035\n"
+                "required_n = 400\nprivacy_passed = true\naccuracy_passed = false\n"
+                "config_in_range = true\nlp_status = optimal\nconstant_one_added = false\n"
+                "n = 400\nsynthetic_size = 200\nreduced_size = 150\nkappa_bound = 1\n",
+            ),
+            (
+                10_000, 10, 2,
+                dict(delta_target=0.1, gamma=0.01, epsilon=1.0, reduced_size=300),
+                "sigma = 0.0115867848\nepsilon_achieved = 0.96661845\n"
+                "accuracy_threshold_n_k = 863.052188\naccuracy_threshold_m = 560000\n"
+                "seed = 42\nfamily_size = 56\nepsilon = 1\nsensitivity = 0.0112\n"
+                "required_n = 9666.1845\nprivacy_passed = true\naccuracy_passed = false\n"
+                "config_in_range = true\nlp_status = optimal\nconstant_one_added = false\n"
+                "n = 10000\nsynthetic_size = 150\nreduced_size = 300\nkappa_bound = 1\n",
+            ),
+            (
+                9_000, 10, 2,
+                dict(delta_target=0.1, gamma=0.01, epsilon=1.0, reduced_size=300,
+                     allow_privacy_failure=True),
+                "sigma = 0.0115867848\nepsilon_achieved = 1.0740205\n"
+                "accuracy_threshold_n_k = 863.052188\naccuracy_threshold_m = 560000\n"
+                "seed = 42\nfamily_size = 56\nepsilon = 1\nsensitivity = 0.0124444444\n"
+                "required_n = 9666.1845\nprivacy_passed = false\naccuracy_passed = false\n"
+                "config_in_range = true\nlp_status = optimal\nconstant_one_added = false\n"
+                "n = 9000\nsynthetic_size = 150\nreduced_size = 300\nkappa_bound = 1\n",
+            ),
+        ],
+        ids=["no-epsilon", "epsilon-passing", "epsilon-failing-allowed"],
+    )
+    def test_ledger_lines_are_pinned(self, n, p, d, overrides, expected):
+        # every line but the solver's, so a new fit does not move this test
+        lines = release_report(n, p, d, **overrides).to_text().splitlines(keepends=True)
+        solver = ("lp_objective", "lp_iterations", "noisy_targets")
+        assert "".join(ln for ln in lines if ln.split(" = ")[0] not in solver) == expected
