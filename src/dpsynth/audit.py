@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, QueryFamily, accuracy_error, evaluate_all
+from .core import Dataset, QueryFamily, _row_groups, accuracy_error, evaluate_all
 from .distributions import (
     ProductDistribution,
     exact_statistics,
@@ -172,25 +172,17 @@ def reweighted_deviation_check(
     )
 
 
-def _multiset_counts(data: Dataset):
-    rows, counts = np.unique(data.rows, axis=0, return_counts=True)
-    return {tuple(int(v) for v in row): int(c) for row, c in zip(rows, counts)}
-
-
 def _check_neighbors(d1: Dataset, d2: Dataset) -> None:
     if d1.schema != d2.schema:
         raise ValueError("datasets must share a schema")
     if abs(len(d1) - len(d2)) > 1:
         raise ValueError("datasets are not add-one neighbors")
     small, large = (d1, d2) if len(d1) <= len(d2) else (d2, d1)
-    cs, cl = _multiset_counts(small), _multiset_counts(large)
-    extra = 0
-    for row, count in cl.items():
-        diff = count - cs.get(row, 0)
-        if diff < 0:
-            raise ValueError("datasets are not add-one neighbors")
-        extra += diff
-    if extra != len(large) - len(small):
+    # Each distinct row's count in the larger dataset less its count in the
+    # smaller one: the larger must hold the smaller, plus at most one row.
+    order, first = _row_groups(np.concatenate([small.rows, large.rows]))
+    surplus = np.bincount(np.cumsum(first) - 1, weights=np.where(order < len(small), -1, 1))
+    if (surplus < 0).any():
         raise ValueError("datasets are not add-one neighbors")
 
 

@@ -90,7 +90,7 @@ class Dataset:
         ``\n`` or ``\r\n``; spaces and tabs around a cell and trailing blank
         lines are ignored. Anything else raises ValueError naming its line.
         """
-        end = len(text.rstrip(" \t\r\n"))
+        end = _body_end(text)
         head_end = text.find("\n", 0, end)
         if head_end < 0:
             head_end = end
@@ -111,11 +111,15 @@ class Dataset:
             # Blocks of whole lines: stop just past the first newline after
             # the nominal block size, or at the end of the text.
             stop = text.find("\n", start + _TEXT_BLOCK, end) + 1 or end
-            buf = text[start:stop].encode("ascii", "replace")
-            block = _parse_block(buf if stop < end else buf + b"\n", arities, n + 2)
+            # The last block gets back its stripped "\n". Neither the block's
+            # bytes nor its rows outlive the step, so one block's worth of
+            # temporaries is live at a time.
+            tail = b"" if stop < end else b"\n"
+            block = _parse_block(text[start:stop].encode("ascii", "replace") + tail, arities, n + 2)
             rows[n : n + len(block)] = block
             n += len(block)
             start = stop
+            del block
         # The blocks checked every value against its arity.
         return cls._adopt(schema, rows)
 
@@ -155,6 +159,18 @@ _BYTE_CLASS[ord("\n")] = _NEWLINE
 _BYTE_CLASS[ord("0") : ord("9") + 1] = _DIGIT
 _BYTE_CLASS[[ord(" "), ord("\t")]] = _BLANK
 _BYTE_CLASS[ord("\r")] = _CR
+
+
+def _body_end(text: str) -> int:
+    r"""``len(text.rstrip(" \t\r\n"))``, stripping growing tail slices
+    instead of copying the whole text."""
+    end, step = len(text), 64
+    while True:
+        cut = max(0, end - step)
+        kept = len(text[cut:end].rstrip(" \t\r\n"))
+        if kept or not cut:
+            return cut + kept
+        end, step = cut, 2 * step
 
 
 def _scan_block(buf: bytes, p: int) -> np.ndarray | None:
@@ -198,13 +214,35 @@ def _scan_block(buf: bytes, p: int) -> np.ndarray | None:
     return values.reshape(-1, p)
 
 
+def _read_grid(buf: bytes, p: int) -> np.ndarray | None:
+    r"""(lines, p) uint8 values of a block whose every line is p one-digit
+    cells separated by ``,`` and ended by ``\n``; None for any other block.
+
+    Such lines are 2p bytes each, so the block is a regular grid: its even
+    columns hold the digits, its odd columns the separators. Anything else,
+    including every malformed block, is left to _scan_block.
+    """
+    width = 2 * p
+    if len(buf) % width:
+        return None
+    grid = np.frombuffer(buf, dtype=np.uint8).reshape(-1, width)
+    if not ((grid[:, 1:-1:2] == ord(",")).all() and (grid[:, -1] == ord("\n")).all()):
+        return None
+    values = grid[:, 0::2] - ord("0")  # bytes below "0" wrap past 9
+    if (values > 9).any():
+        return None
+    return values
+
+
 def _parse_block(buf: bytes, arities: np.ndarray, first_line: int) -> np.ndarray:
     r"""(lines, p) rows of whole lines that each end in ``\n``.
 
     Raises ValueError naming the first bad line, counted from ``first_line``.
     """
     p = len(arities)
-    rows = _scan_block(buf, p)
+    rows = _read_grid(buf, p)
+    if rows is None:
+        rows = _scan_block(buf, p)
     if rows is None:
         # Bisect for the first malformed line: a prefix of whole lines is
         # malformed exactly when one of its lines is.
@@ -262,12 +300,19 @@ def _domain_size(schema: Sequence[int]) -> int:
     return size
 
 
-def _first_occurrences(rows: np.ndarray) -> np.ndarray:
-    """Indices of the distinct rows' first occurrences, in increasing order."""
+def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows' stable lexicographic order, and along it whether each row
+    starts a new group of equal rows."""
     order = np.lexsort(rows.T)  # stable, so equal rows stay in index order
     ranked = rows[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return order, first
+
+
+def _first_occurrences(rows: np.ndarray) -> np.ndarray:
+    """Indices of the distinct rows' first occurrences, in increasing order."""
+    order, first = _row_groups(rows)
     return np.sort(order[first])
 
 

@@ -208,6 +208,8 @@ def kappa_uniform(masses, domain_size: int) -> float:
     if isinstance(masses, ExplicitDistribution):
         masses = masses.masses
     m = np.asarray(masses, dtype=float)
+    if not (np.isfinite(m) & (m >= 0)).all():
+        raise ValueError("masses must be nonnegative and finite")
     if len(m) > domain_size:
         raise ValueError("more mass points than domain elements")
     return domain_size * math.fsum(m * m)

@@ -215,6 +215,20 @@ class TestNeighborCheck:
         with pytest.raises(ValueError, match="not add-one neighbors"):
             _check_neighbors(d1, swapped)
 
+    def test_large_pairs(self):
+        schema = (2,) * 32
+        rows = np.random.default_rng(9).integers(0, 2, (200_000, 32))
+        d1 = Dataset(schema, rows)
+        # Reordered, plus one more copy of a row that is already there.
+        added = Dataset(schema, np.vstack([rows[::-1], rows[7:8]]))
+        _check_neighbors(d1, added)
+        _check_neighbors(added, d1)
+        changed = rows.copy()
+        changed[123_456, 5] ^= 1
+        for other in (changed, np.vstack([changed, rows[7:8]])):
+            with pytest.raises(ValueError, match="^datasets are not add-one neighbors$"):
+                _check_neighbors(d1, Dataset(schema, other))
+
 
 class TestPrivacyAudit:
     def test_neighboring_datasets_stay_within_slack(self, neighbor_datasets):

@@ -19,7 +19,15 @@ from dpsynth import (
     evaluate_statistic,
     weighted_statistics,
 )
-from dpsynth.core import _TEXT_BLOCK, TABLE_DOMAIN_CAP, _domain_size, _encode_rows
+from dpsynth import core
+from dpsynth.core import (
+    _TEXT_BLOCK,
+    TABLE_DOMAIN_CAP,
+    _domain_size,
+    _encode_rows,
+    _read_grid,
+    _scan_block,
+)
 
 
 def reference_to_text(data):
@@ -35,6 +43,32 @@ def datasets(draw):
     n = draw(st.integers(0, 50))
     rows = [[draw(st.integers(0, a - 1)) for a in schema] for _ in range(n)]
     return Dataset(schema, rows)
+
+
+@st.composite
+def mutated_grids(draw):
+    """Lines of p one-digit cells with one byte overwritten, deleted or
+    doubled; the rows when the edit keeps the block a grid, else None."""
+    p = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, 9), min_size=p, max_size=p)
+    cells = draw(st.lists(row, min_size=1, max_size=8))
+    buf = bytearray("".join(",".join(map(str, row)) + "\n" for row in cells).encode())
+    at = draw(st.integers(0, len(buf) - 1))
+    edits = [b",", b"\n", b"\r", b" ", b"\t", b"x", "digit", "delete", "double"]
+    edit = draw(st.sampled_from(edits))
+    if edit == "digit":
+        kept = chr(buf[at]).isdigit()
+        buf[at : at + 1] = str(draw(st.integers(0, 9))).encode()
+        if kept:
+            cells[at // (2 * p)][at % (2 * p) // 2] = int(chr(buf[at]))
+            return bytes(buf), p, cells
+    elif edit == "delete":
+        del buf[at]
+    elif edit == "double":
+        buf.insert(at, buf[at])
+    else:
+        buf[at : at + 1] = edit
+    return bytes(buf), p, None
 
 
 class TestDataset:
@@ -182,28 +216,57 @@ class TestDatasetText:
 
     def test_errors_name_lines_past_block_boundaries(self):
         rng = np.random.default_rng(5)
-        rows = rng.integers(0, 1000, size=(3 * _TEXT_BLOCK // 14, 4))
-        text = Dataset((1000,) * 4, rows).to_text()
-        body = text.index("\n") + 1
-        assert len(text) - body > 3 * _TEXT_BLOCK
-        assert Dataset.from_text(text) == Dataset((1000,) * 4, rows)
-        block_start = body
-        for _ in range(3):
-            # The line holding the nominal boundary ends the block; the next
-            # line starts the following one.
-            boundary = block_start + _TEXT_BLOCK
-            line_start = text.rindex("\n", 0, boundary) + 1
-            block_start = text.index("\n", boundary) + 1
-            for start in (line_start, block_start):
-                lineno = text.count("\n", 0, start) + 1
-                end = text.index("\n", start)
-                for bad, message in [
-                    ("1,2,x,4", f"^line {lineno}: expected comma-separated"),
-                    ("1,2,3", f"^line {lineno}: expected 4 .*, found 3$"),
-                    ("1,2,3,1000", f"^invalid dataset: line {lineno}, coordinate 4:"),
-                ]:
-                    with pytest.raises(ValueError, match=message):
-                        Dataset.from_text(text[:start] + bad + text[end:])
+        # Three-digit cells go through the cell scanner; single-digit ones
+        # through the strided reader, which also leaves "9" to the range check.
+        for arity, n, too_big in [
+            (1000, 3 * _TEXT_BLOCK // 14, "1000"),
+            (9, 3 * _TEXT_BLOCK // 7, "9"),
+        ]:
+            rows = rng.integers(0, arity, size=(n, 4))
+            text = Dataset((arity,) * 4, rows).to_text()
+            body = text.index("\n") + 1
+            assert len(text) - body > 3 * _TEXT_BLOCK
+            assert Dataset.from_text(text) == Dataset((arity,) * 4, rows)
+            block_start = body
+            for _ in range(3):
+                # The line holding the nominal boundary ends the block; the
+                # next line starts the following one.
+                boundary = block_start + _TEXT_BLOCK
+                line_start = text.rindex("\n", 0, boundary) + 1
+                block_start = text.index("\n", boundary) + 1
+                for start in (line_start, block_start):
+                    lineno = text.count("\n", 0, start) + 1
+                    end = text.index("\n", start)
+                    for bad, message in [
+                        ("1,2,x,4", f"^line {lineno}: expected comma-separated"),
+                        ("1,2,3", f"^line {lineno}: expected 4 .*, found 3$"),
+                        (f"1,2,3,{too_big}", f"^invalid dataset: line {lineno}, coordinate 4:"),
+                    ]:
+                        with pytest.raises(ValueError, match=message):
+                            Dataset.from_text(text[:start] + bad + text[end:])
+
+    @settings(max_examples=400, deadline=None)
+    @given(block=mutated_grids())
+    def test_strided_reader_never_disagrees_with_the_scanner(self, block):
+        buf, p, rows = block
+        grid = _read_grid(buf, p)
+        if rows is not None:
+            assert grid is not None and grid.tolist() == rows
+        if grid is not None:
+            scanned = _scan_block(buf, p)
+            assert scanned is not None and grid.shape == scanned.shape
+            assert (grid.astype(np.int64) == scanned).all()
+
+    @pytest.mark.parametrize("late", ["2,13,0\n", "1,0,1\r\n"])
+    def test_one_digit_block_then_a_scanned_block(self, late, monkeypatch):
+        rows = np.random.default_rng(6).integers(0, 2, size=(_TEXT_BLOCK // 3, 3))
+        lines = Dataset((3, 20, 2), rows).to_text().splitlines(keepends=True)
+        lines[-100] = late  # inside the second block
+        text = "".join(lines)
+        fast = Dataset.from_text(text)
+        monkeypatch.setattr(core, "_read_grid", lambda buf, p: None)
+        assert fast == Dataset.from_text(text)
+        assert fast.rows[-100].tolist() == [int(v) for v in late.split(",")]
 
 
 # The row dtype of a Dataset whose largest arity is the key: the narrowest

@@ -236,6 +236,11 @@ class TestKappaUniform:
         with pytest.raises(ValueError, match="more mass points"):
             kappa_uniform([0.5, 0.5], 1)
 
+    @pytest.mark.parametrize("masses", [[math.nan, 0.5], [-0.5, 1.5], [math.inf, 0.0]])
+    def test_masses_must_be_nonnegative_and_finite(self, masses):
+        with pytest.raises(ValueError, match="^masses must be nonnegative and finite$"):
+            kappa_uniform(masses, 4)
+
 
 class TestExactStatistics:
     def test_product_closed_forms(self):
