@@ -21,7 +21,7 @@ from .distributions import (
 )
 from .mechanism import laplace_vector
 from .queries import marginal_family
-from .synth import PipelineConfig, _accuracy_thresholds, _fmt, generate
+from .synth import PipelineConfig, _accuracy_thresholds, _render, generate
 
 DEFAULT_AUDIT_SLACK = 0.15
 # A histogram cell with a zero count on one side is only treated as evidence
@@ -29,51 +29,29 @@ DEFAULT_AUDIT_SLACK = 0.15
 MIN_CELL_OCCUPANCY = 10
 
 
-@dataclass(frozen=True)
-class ReweightedMeasure:
-    """Importance-weighted empirical measure: weight ratio(z)/m on each draw.
+class _AuditResult:
+    """An audit's outcome, reported as one line per (report key, field) pair
+    of its class's ``_REPORT``, in that order."""
 
-    The weights are unnormalized; their sum ``total_mass`` concentrates near 1
-    when the sampling distribution covers the population well.
-    """
-
-    support: Dataset
-    weights: np.ndarray
-    total_mass: float
-
-    def statistics(self, queries: QueryFamily) -> np.ndarray:
-        return queries.weighted_sums(self.support.rows, self.weights)
-
-
-def reweighted_measure(population, sampling, draws: Dataset) -> ReweightedMeasure:
-    """Build the importance-weighted measure for draws taken from ``sampling``."""
-    num = population.mass_many(draws.rows)
-    den = sampling.mass_many(draws.rows)
-    if (den == 0).any():
-        raise ValueError("draws must lie in the sampling distribution's support")
-    weights = num / den / len(draws)
-    return ReweightedMeasure(
-        support=draws, weights=weights, total_mass=math.fsum(weights)
-    )
+    def report_text(self) -> str:
+        return _render((key, getattr(self, name)) for key, name in self._REPORT)
 
 
 @dataclass(frozen=True)
-class DeviationCheckResult:
+class DeviationCheckResult(_AuditResult):
     failure_rate: float
     gate: float
     threshold_n: float
     trials: int
     passed: bool
 
-    def report_text(self) -> str:
-        lines = [
-            f"lemma3_failure_rate = {_fmt(self.failure_rate)}",
-            f"lemma3_gate = {_fmt(self.gate)}",
-            f"lemma3_threshold_n = {_fmt(self.threshold_n)}",
-            f"lemma3_trials = {_fmt(self.trials)}",
-            f"lemma3_passed = {_fmt(self.passed)}",
-        ]
-        return "\n".join(lines) + "\n"
+    _REPORT = (
+        ("lemma3_failure_rate", "failure_rate"),
+        ("lemma3_gate", "gate"),
+        ("lemma3_threshold_n", "threshold_n"),
+        ("lemma3_trials", "trials"),
+        ("lemma3_passed", "passed"),
+    )
 
 
 def deviation_check_empirical(
@@ -109,7 +87,7 @@ def deviation_check_empirical(
 
 
 @dataclass(frozen=True)
-class ReweightedCheckResult:
+class ReweightedCheckResult(_AuditResult):
     failure_rate: float
     mean_r: float
     gate: float
@@ -118,17 +96,15 @@ class ReweightedCheckResult:
     trials: int
     passed: bool
 
-    def report_text(self) -> str:
-        lines = [
-            f"lemma4_failure_rate = {_fmt(self.failure_rate)}",
-            f"mean_r = {_fmt(self.mean_r)}",
-            f"lemma4_gate = {_fmt(self.gate)}",
-            f"mean_r_tolerance = {_fmt(self.mean_r_tolerance)}",
-            f"lemma4_threshold_m = {_fmt(self.threshold_m)}",
-            f"lemma4_trials = {_fmt(self.trials)}",
-            f"lemma4_passed = {_fmt(self.passed)}",
-        ]
-        return "\n".join(lines) + "\n"
+    _REPORT = (
+        ("lemma4_failure_rate", "failure_rate"),
+        ("mean_r", "mean_r"),
+        ("lemma4_gate", "gate"),
+        ("mean_r_tolerance", "mean_r_tolerance"),
+        ("lemma4_threshold_m", "threshold_m"),
+        ("lemma4_trials", "trials"),
+        ("lemma4_passed", "passed"),
+    )
 
 
 def reweighted_deviation_check(
@@ -137,10 +113,12 @@ def reweighted_deviation_check(
 ) -> ReweightedCheckResult:
     """Empirical check of the importance-weighted statistics and their total mass.
 
-    Unbiasedness puts the mean of the total mass r at 1; the audit requires the
-    observed mean over all trials to sit within three standard errors
-    (variance at most kappa/m per trial) and the per-trial deviation failure
-    rate to stay under gamma plus three binomial standard errors.
+    Each trial weights its m draws from ``sampling`` by population/sampling
+    mass over m. The weights are unnormalized; unbiasedness puts the mean of
+    their sum, the total mass r, at 1. The audit requires the observed mean
+    over all trials to sit within three standard errors (variance at most
+    kappa/m per trial) and the per-trial deviation failure rate to stay under
+    gamma plus three binomial standard errors.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -152,11 +130,15 @@ def reweighted_deviation_check(
     masses = []
     for _ in range(trials):
         draws = sampling.sample(m, rng)
-        measure = reweighted_measure(population, sampling, draws)
-        stats = measure.statistics(queries)
+        num = population.mass_many(draws.rows)
+        den = sampling.mass_many(draws.rows)
+        if (den == 0).any():
+            raise ValueError("draws must lie in the sampling distribution's support")
+        weights = num / den / len(draws)
+        stats = queries.weighted_sums(draws.rows, weights)
         if np.max(np.abs(stats - exact)) > delta:
             failures += 1
-        masses.append(measure.total_mass)
+        masses.append(math.fsum(weights))
     failure_rate = failures / trials
     mean_r = math.fsum(masses) / trials
     gate = gamma + 3.0 * math.sqrt(gamma / trials)
@@ -187,7 +169,7 @@ def _check_neighbors(d1: Dataset, d2: Dataset) -> None:
 
 
 @dataclass(frozen=True)
-class PrivacyAuditResult:
+class PrivacyAuditResult(_AuditResult):
     epsilon_hat: float
     epsilon_theoretical: float
     slack: float
@@ -195,16 +177,14 @@ class PrivacyAuditResult:
     bins: int
     passed: bool
 
-    def report_text(self) -> str:
-        lines = [
-            f"epsilon_hat = {_fmt(self.epsilon_hat)}",
-            f"epsilon_theoretical = {_fmt(self.epsilon_theoretical)}",
-            f"audit_slack = {_fmt(self.slack)}",
-            f"dp_trials = {_fmt(self.trials)}",
-            f"dp_bins = {_fmt(self.bins)}",
-            f"dp_passed = {_fmt(self.passed)}",
-        ]
-        return "\n".join(lines) + "\n"
+    _REPORT = (
+        ("epsilon_hat", "epsilon_hat"),
+        ("epsilon_theoretical", "epsilon_theoretical"),
+        ("audit_slack", "slack"),
+        ("dp_trials", "trials"),
+        ("dp_bins", "bins"),
+        ("dp_passed", "passed"),
+    )
 
 
 def privacy_audit(
@@ -276,7 +256,7 @@ def privacy_audit(
 
 
 @dataclass(frozen=True)
-class BooleanExperimentResult:
+class BooleanExperimentResult(_AuditResult):
     errors: tuple[float, ...]
     fail_fraction: float
     gate: float
@@ -285,17 +265,15 @@ class BooleanExperimentResult:
     trials: int
     passed: bool
 
-    def report_text(self) -> str:
-        lines = [
-            f"corollary_pass = {_fmt(self.passed)}",
-            f"corollary_fail_fraction = {_fmt(self.fail_fraction)}",
-            f"corollary_gate = {_fmt(self.gate)}",
-            f"corollary_error_threshold = {_fmt(self.error_threshold)}",
-            f"corollary_median_error = {_fmt(self.median_error)}",
-            f"corollary_trials = {_fmt(self.trials)}",
-            f"errors = {_fmt(self.errors)}",
-        ]
-        return "\n".join(lines) + "\n"
+    _REPORT = (
+        ("corollary_pass", "passed"),
+        ("corollary_fail_fraction", "fail_fraction"),
+        ("corollary_gate", "gate"),
+        ("corollary_error_threshold", "error_threshold"),
+        ("corollary_median_error", "median_error"),
+        ("corollary_trials", "trials"),
+        ("errors", "errors"),
+    )
 
 
 def boolean_experiment(

@@ -23,7 +23,7 @@ from .distributions import (
     renyi_condition_number_mc,
 )
 from .queries import parse_query_spec
-from .synth import FitGateError, PipelineConfig, PrivacyGateError, _fmt, generate
+from .synth import FitGateError, PipelineConfig, PrivacyGateError, _render, generate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,25 +58,13 @@ def _load_distribution(spec: str, schema=None):
     return parse_distribution_spec(_load_text(spec))
 
 
-def _echo_config(args, keys) -> str:
-    lines = [f"config_{k} = {_fmt(getattr(args, k))}" for k in keys]
-    return "\n".join(lines) + "\n"
-
-
-def _emit_report(text: str, report_path) -> None:
-    if report_path:
-        Path(report_path).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _read_dataset(path: str) -> Dataset:
-    # No newline translation: the CLI parses the same characters as the library.
-    with open(path, newline="") as fh:
-        return Dataset.from_text(fh.read())
+    # Bytes decoded as they are, with no newline translation and no locale:
+    # the CLI parses the same characters as the library.
+    return Dataset.from_text(Path(path).read_bytes().decode("utf-8"))
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> tuple[str, bool]:
     data = _read_dataset(args.data)
     queries = parse_query_spec(_load_text(args.queries), data.schema)
     sampling = _load_distribution(args.mu, data.schema)
@@ -93,28 +81,20 @@ def _cmd_generate(args) -> int:
     )
     result = generate(data, queries, sampling, config)
     Path(args.out).write_text(result.synthetic.to_text())
-    echo = _echo_config(
-        args,
-        ["data", "queries", "mu", "delta", "gamma", "k", "m", "epsilon",
-         "kappa_bound", "seed", "out"],
-    )
-    _emit_report(echo + result.report.to_text(), args.report)
-    return EXIT_OK
+    return result.report.to_text(), True
 
 
-def _cmd_audit_lemma3(args) -> int:
+def _cmd_audit_lemma3(args) -> tuple[str, bool]:
     population = _load_distribution(args.nu)
     queries = parse_query_spec(_load_text(args.queries), population.schema)
     result = deviation_check_empirical(
         population, queries, args.n, args.delta, args.gamma, args.trials,
         np.random.default_rng(args.seed),
     )
-    echo = _echo_config(args, ["nu", "queries", "n", "delta", "gamma", "trials", "seed"])
-    _emit_report(echo + result.report_text(), args.report)
-    return EXIT_OK if result.passed else EXIT_GATE
+    return result.report_text(), result.passed
 
 
-def _cmd_audit_lemma4(args) -> int:
+def _cmd_audit_lemma4(args) -> tuple[str, bool]:
     population = _load_distribution(args.nu)
     sampling = _load_distribution(args.mu)
     queries = parse_query_spec(_load_text(args.queries), population.schema)
@@ -122,14 +102,10 @@ def _cmd_audit_lemma4(args) -> int:
         population, sampling, queries, args.m, args.delta, args.gamma,
         args.trials, np.random.default_rng(args.seed),
     )
-    echo = _echo_config(
-        args, ["nu", "mu", "queries", "m", "delta", "gamma", "trials", "seed"]
-    )
-    _emit_report(echo + result.report_text(), args.report)
-    return EXIT_OK if result.passed else EXIT_GATE
+    return result.report_text(), result.passed
 
 
-def _cmd_audit_dp(args) -> int:
+def _cmd_audit_dp(args) -> tuple[str, bool]:
     d1 = _read_dataset(args.d1)
     d2 = _read_dataset(args.d2)
     queries = parse_query_spec(_load_text(args.queries), d1.schema)
@@ -137,26 +113,18 @@ def _cmd_audit_dp(args) -> int:
         queries, args.sigma, d1, d2, args.trials, args.bins,
         np.random.default_rng(args.seed), slack=args.slack,
     )
-    echo = _echo_config(
-        args, ["queries", "sigma", "d1", "d2", "trials", "bins", "slack", "seed"]
-    )
-    _emit_report(echo + result.report_text(), args.report)
-    return EXIT_OK if result.passed else EXIT_GATE
+    return result.report_text(), result.passed
 
 
-def _cmd_audit_corollary(args) -> int:
+def _cmd_audit_corollary(args) -> tuple[str, bool]:
     result = boolean_experiment(
         args.p, args.d, args.n, args.k, args.m, args.delta, args.gamma,
         args.trials, args.seed,
     )
-    echo = _echo_config(
-        args, ["p", "d", "n", "k", "m", "delta", "gamma", "trials", "seed"]
-    )
-    _emit_report(echo + result.report_text(), args.report)
-    return EXIT_OK if result.passed else EXIT_GATE
+    return result.report_text(), result.passed
 
 
-def _cmd_kappa(args) -> int:
+def _cmd_kappa(args) -> tuple[str, bool]:
     population = _load_distribution(args.nu)
     sampling = _load_distribution(args.mu, getattr(population, "schema", None))
     if args.mc is not None:
@@ -167,8 +135,14 @@ def _cmd_kappa(args) -> int:
         )
     else:
         value = renyi_condition_number_exact(population, sampling)
-    print(f"{value:.9f}")
-    return EXIT_OK
+    return f"{value:.9f}\n", True
+
+
+def _bind(parser, func) -> None:
+    """Set a command's handler, which returns (report text, gate passed), and
+    its config echo: its value options but --report, in declaration order."""
+    echo = [a.dest for a in parser._actions if a.nargs is None and a.dest != "report"]
+    parser.set_defaults(func=func, echo=echo)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
                      action="store_true")
     gen.add_argument("--export-noisy-targets", dest="export_noisy_targets",
                      action="store_true")
-    gen.set_defaults(func=_cmd_generate)
+    _bind(gen, _cmd_generate)
 
     audit = sub.add_parser("audit", help="statistical audits")
     audit_sub = audit.add_subparsers(dest="audit_command", required=True,
@@ -209,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     lemma3.add_argument("--trials", type=int, required=True)
     lemma3.add_argument("--seed", type=int, required=True)
     lemma3.add_argument("--report", default=None)
-    lemma3.set_defaults(func=_cmd_audit_lemma3)
+    _bind(lemma3, _cmd_audit_lemma3)
 
     lemma4 = audit_sub.add_parser("lemma4", help="importance-weighted deviation check")
     lemma4.add_argument("--nu", required=True)
@@ -221,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     lemma4.add_argument("--trials", type=int, required=True)
     lemma4.add_argument("--seed", type=int, required=True)
     lemma4.add_argument("--report", default=None)
-    lemma4.set_defaults(func=_cmd_audit_lemma4)
+    _bind(lemma4, _cmd_audit_lemma4)
 
     dp = audit_sub.add_parser("dp", help="empirical privacy probe")
     dp.add_argument("--queries", required=True)
@@ -233,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     dp.add_argument("--slack", type=float, default=DEFAULT_AUDIT_SLACK)
     dp.add_argument("--seed", type=int, required=True)
     dp.add_argument("--report", default=None)
-    dp.set_defaults(func=_cmd_audit_dp)
+    _bind(dp, _cmd_audit_dp)
 
     cor = audit_sub.add_parser("corollary", help="end-to-end Boolean experiment")
     cor.add_argument("--p", type=int, required=True)
@@ -246,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     cor.add_argument("--trials", type=int, required=True)
     cor.add_argument("--seed", type=int, required=True)
     cor.add_argument("--report", default=None)
-    cor.set_defaults(func=_cmd_audit_corollary)
+    _bind(cor, _cmd_audit_corollary)
 
     kap = sub.add_parser("kappa", help="condition number of one distribution against another")
     kap.add_argument("--nu", required=True, help="population distribution spec")
@@ -254,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     kap.add_argument("--mc", type=int, default=None,
                      help="Monte Carlo sample count (default: exact)")
     kap.add_argument("--seed", type=int, default=None)
-    kap.set_defaults(func=_cmd_kappa)
+    # kappa prints its value alone, to stdout.
+    kap.set_defaults(func=_cmd_kappa, echo=[], report=None)
 
     return parser
 
@@ -266,13 +241,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        report, passed = args.func(args)
+        text = _render((f"config_{key}", getattr(args, key)) for key in args.echo) + report
+        if args.report:
+            Path(args.report).write_text(text)
+        else:
+            sys.stdout.write(text)
     except (PrivacyGateError, FitGateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GATE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK if passed else EXIT_GATE
 
 
 if __name__ == "__main__":

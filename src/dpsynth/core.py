@@ -1,19 +1,13 @@
-"""Core domain types: categorical datasets, bounded test functions, linear statistics."""
+"""Core domain types: categorical datasets, conjunction queries, linear statistics."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-# A statistics vector is a plain float array with one entry per family index.
-StatisticsVector = np.ndarray
-
-# Explicit value tables are only allowed on domains small enough to enumerate.
-TABLE_DOMAIN_CAP = 1 << 20
 # The statistics kernel walks the rows in blocks of about this many cells of
 # its literal and mask matrices, so temporaries scale with the block.
 _STATS_BLOCK = 1 << 18
@@ -30,7 +24,11 @@ class Dataset:
 
     def __init__(self, schema: Sequence[int], rows) -> None:
         self._schema = _check_schema(schema)
-        arr = np.asarray(rows, dtype=np.int64)
+        arr = np.asarray(rows)
+        # The int64 cast would truncate a fractional cell and make NaN a number.
+        if arr.dtype.kind == "f" and not (np.isfinite(arr) & (arr == np.trunc(arr))).all():
+            raise ValueError("row values must be whole numbers")
+        arr = arr.astype(np.int64, copy=False)
         if arr.size == 0:
             arr = arr.reshape(0, len(self._schema))
         if arr.ndim != 2 or arr.shape[1] != len(self._schema):
@@ -68,11 +66,6 @@ class Dataset:
 
     def __repr__(self) -> str:
         return f"Dataset(schema={self._schema}, n={len(self)})"
-
-    def concat(self, other: "Dataset") -> "Dataset":
-        if self._schema != other._schema:
-            raise ValueError("cannot concatenate datasets with different schemas")
-        return Dataset(self._schema, np.vstack([self._rows, other.rows]))
 
     def to_text(self) -> str:
         """Serialize: arity line, then one comma-separated row per record."""
@@ -329,26 +322,22 @@ def _encode_rows(rows: np.ndarray, schema: Sequence[int]) -> np.ndarray:
 
 
 class TestFunction:
-    """A query mapping records to [-1, 1]: a table or a conjunction.
+    """A conjunction query: the indicator that each coordinate in ``coords``
+    takes its ``assigned`` value.
 
-    A conjunction is the indicator that each coordinate in ``coords`` takes
-    its ``assigned`` value. The kind names how it was built, for labels and
-    schema checks:
+    The kind names how it was built, for labels and schema checks:
       * ``constant``: the all-ones function, over no coordinates.
       * ``monotone``: product of the 0/1 coordinates in ``coords`` (Boolean
         coordinates only), so each is assigned 1.
       * ``assignment``: indicator of fixed ``assigned`` values.
-      * ``table``: explicit value table over a full (small) domain.
     """
 
-    __slots__ = ("kind", "coords", "assigned", "schema", "table")
+    __slots__ = ("kind", "coords", "assigned")
 
-    def __init__(self, kind, coords=(), assigned=(), schema=None, table=None):
+    def __init__(self, kind, coords=(), assigned=()):
         self.kind = kind
         self.coords = tuple(int(c) for c in coords)
         self.assigned = tuple(int(v) for v in assigned)
-        self.schema = tuple(int(a) for a in schema) if schema is not None else None
-        self.table = table
         if any(c < 0 for c in self.coords):
             raise ValueError("coordinate indices must be nonnegative")
         if len(set(self.coords)) != len(self.coords):
@@ -378,30 +367,13 @@ class TestFunction:
             assigned=tuple(v for _, v in pairs),
         )
 
-    @classmethod
-    def from_table(cls, schema: Sequence[int], values) -> "TestFunction":
-        schema = tuple(int(a) for a in schema)
-        if _domain_size(schema) > TABLE_DOMAIN_CAP:
-            raise ValueError("domain too large for an explicit value table")
-        table = np.array(values, dtype=float, copy=True).reshape(-1)
-        if len(table) != _domain_size(schema):
-            raise ValueError("table must cover the whole domain")
-        if (np.abs(table) > 1.0 + 1e-12).any():
-            raise ValueError("table values must lie in [-1, 1]")
-        table.setflags(write=False)
-        return cls("table", schema=schema, table=table)
-
     @property
     def is_constant_one(self) -> bool:
-        return not self.coords if self.table is None else bool(np.all(self.table == 1.0))
+        return not self.coords
 
     def check_schema(self, schema: Sequence[int]) -> None:
         """Raise ValueError unless this function conforms to the schema."""
         schema = tuple(int(a) for a in schema)
-        if self.kind == "table":
-            if self.schema != schema:
-                raise ValueError("schema mismatch: table built for a different domain")
-            return
         if self.coords and max(self.coords) >= len(schema):
             raise ValueError("schema mismatch: coordinate index out of range")
         if self.kind == "monotone" and any(schema[c] != 2 for c in self.coords):
@@ -412,13 +384,7 @@ class TestFunction:
                     f"schema mismatch: value {v} out of range for coordinate {c + 1}"
                 )
 
-    def values(self, rows: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation over an (n, p) row array."""
-        return QueryFamily((self,)).values_matrix(rows)[0]
-
     def label(self) -> str:
-        if self.table is not None:
-            return "table"
         if not self.coords:
             return "1"
         if self.kind == "monotone":
@@ -427,8 +393,7 @@ class TestFunction:
         return f"ind({inner})"
 
     def _key(self):
-        tbl = self.table.tobytes() if self.table is not None else None
-        return (self.kind, self.coords, self.assigned, self.schema, tbl)
+        return (self.kind, self.coords, self.assigned)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TestFunction):
@@ -446,20 +411,17 @@ class QueryFamily:
     """Ordered family of test functions with stable positional indices.
 
     Compiled once: a literal list (coordinate, value) whose literal 0 is always
-    true, a (conjunctions, D) array of literal indices padded with literal 0,
-    and the positions of the table functions.
+    true, and a (|F|, D) array of literal indices padded with literal 0.
     """
 
     def __init__(self, functions: Iterable[TestFunction]):
         self._functions = tuple(functions)
         if not self._functions:
             raise ValueError("query family must contain at least one function")
-        self._tables = [i for i, f in enumerate(self._functions) if f.table is not None]
-        self._conjunctions = [i for i, f in enumerate(self._functions) if f.table is None]
         ids: dict[tuple[int, int], int] = {}
         terms = [
             [ids.setdefault(literal, len(ids) + 1) for literal in zip(f.coords, f.assigned)]
-            for f in self._functions if f.table is None
+            for f in self._functions
         ]
         self._literals = np.array([(0, 0), *ids], dtype=np.int64).T
         self._literal_index = np.zeros((len(terms), max([1, *map(len, terms)])), dtype=np.intp)
@@ -474,11 +436,6 @@ class QueryFamily:
 
     def __iter__(self) -> Iterator[TestFunction]:
         return iter(self._functions)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QueryFamily):
-            return NotImplemented
-        return self._functions == other._functions
 
     def __repr__(self) -> str:
         return f"QueryFamily(size={len(self)})"
@@ -515,55 +472,36 @@ class QueryFamily:
             yield mask
 
     def _held(self, rows: np.ndarray) -> np.ndarray:
-        """(conjunctions, n): whether each conjunction holds on each row."""
-        return np.hstack([np.empty((len(self._literal_index), 0), bool), *self._masks(rows)])
-
-    def _table_values(self, i: int, rows: np.ndarray) -> np.ndarray:
-        f = self._functions[i]
-        return f.table[_encode_rows(rows, f.schema)]
+        """(|F|, n): whether each conjunction holds on each row."""
+        return np.hstack([np.empty((len(self), 0), bool), *self._masks(rows)])
 
     def values_matrix(self, rows: np.ndarray) -> np.ndarray:
         """(|F|, n) matrix of function values over the given rows."""
+        # Allocated before the masks: allocating it after them added 2-3 ms of
+        # page faults to each 200k-row CLI release.
         out = np.empty((len(self), rows.shape[0]))
-        out[self._conjunctions] = self._held(rows)
-        for i in self._tables:
-            out[i] = self._table_values(i, rows)
+        out[:] = self._held(rows)
         return out
 
-    def means(self, rows: np.ndarray) -> StatisticsVector:
-        """Mean of every function over n >= 1 rows: the compensated sum of its
-        values over n, which for a conjunction is its exact count over n."""
-        n = rows.shape[0]
-        out = np.empty(len(self))
-        out[self._conjunctions] = sum(np.count_nonzero(m, axis=1) for m in self._masks(rows)) / n
-        for i in self._tables:
-            out[i] = math.fsum(self._table_values(i, rows)) / n
-        return out
+    def means(self, rows: np.ndarray) -> np.ndarray:
+        """Mean of every function over n >= 1 rows: its exact count over n."""
+        return sum(np.count_nonzero(m, axis=1) for m in self._masks(rows)) / rows.shape[0]
 
-    def weighted_sums(self, rows: np.ndarray, weights: np.ndarray) -> StatisticsVector:
-        """Compensated sum of f(z) * weight(z) over the rows, for every function
-        f; for a conjunction, that of the weights of the rows it holds on."""
+    def weighted_sums(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """For every function, the compensated sum of the weights of the rows it
+        holds on."""
         w = np.asarray(weights, dtype=float)
-        out = np.empty(len(self))
-        out[self._conjunctions] = [math.fsum(w[held]) for held in self._held(rows)]
-        for i in self._tables:
-            out[i] = math.fsum(self._table_values(i, rows) * w)
-        return out
+        return np.array([math.fsum(w[held]) for held in self._held(rows)])
 
-    def product_expectations(self, vectors: Sequence[np.ndarray]) -> StatisticsVector:
-        """Expectation of every function when coordinate c is drawn from ``vectors[c]``:
-        for a conjunction, the product of its literals' probabilities in
-        coordinate order; for a table, its compensated sum against the masses."""
+    def product_expectations(self, vectors: Sequence[np.ndarray]) -> np.ndarray:
+        """Expectation of every function when coordinate c is drawn from
+        ``vectors[c]``: the product of its literals' probabilities in coordinate
+        order."""
         coord, value = self._literals
         probs = np.array([1.0, *(vectors[c][v] for c, v in zip(coord[1:], value[1:]))])
-        out = np.empty(len(self))
-        out[self._conjunctions] = 1.0
+        out = np.ones(len(self))
         for column in self._literal_index.T:
-            out[self._conjunctions] *= probs[column]
-        if self._tables:
-            masses = reduce(np.multiply.outer, vectors, np.ones(())).ravel()
-        for i in self._tables:
-            out[i] = math.fsum(self._functions[i].table * masses)
+            out *= probs[column]
         return out
 
 
@@ -585,35 +523,13 @@ class FiniteDensity:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
-    @classmethod
-    def uniform(cls, support: Dataset) -> "FiniteDensity":
-        n = len(support)
-        return cls(support, np.full(n, 1.0 / n))
 
-    @classmethod
-    def point_mass(cls, support: Dataset, index: int = 0) -> "FiniteDensity":
-        w = np.zeros(len(support))
-        w[index] = 1.0
-        return cls(support, w)
-
-
-def evaluate_statistic(f: TestFunction, data: Dataset) -> float:
-    """Mean of one test function over a dataset."""
-    return float(evaluate_all(QueryFamily((f,)), data)[0])
-
-
-def evaluate_all(queries: QueryFamily, data: Dataset) -> StatisticsVector:
+def evaluate_all(queries: QueryFamily, data: Dataset) -> np.ndarray:
     """Exact statistics of a dataset under every function in the family."""
     if len(data) == 0:
         raise ValueError("empty dataset")
     queries.check_schema(data.schema)
     return queries.means(data.rows)
-
-
-def weighted_statistics(queries: QueryFamily, density: FiniteDensity) -> StatisticsVector:
-    """Statistics of a finite density: sum of f(z) * weight(z) over the support."""
-    queries.check_schema(density.support.schema)
-    return queries.weighted_sums(density.support.rows, density.weights)
 
 
 def accuracy_error(queries: QueryFamily, x: Dataset, y: Dataset) -> float:

@@ -16,7 +16,6 @@ import numpy as np
 from .core import (
     Dataset,
     QueryFamily,
-    StatisticsVector,
     _domain_size,
     _encode_rows,
     _first_occurrences,
@@ -192,6 +191,8 @@ def renyi_condition_number_mc(population, sampling, samples: int, rng) -> float:
     """Monte Carlo estimate of kappa: average density ratio under the population."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if population.schema != sampling.schema:
+        raise ValueError("distributions must share a schema")
     rng = np.random.default_rng(rng)
     draws = population.sample(samples, rng)
     p_mass = population.mass_many(draws.rows)
@@ -215,7 +216,7 @@ def kappa_uniform(masses, domain_size: int) -> float:
     return domain_size * math.fsum(m * m)
 
 
-def exact_statistics(dist, queries: QueryFamily) -> StatisticsVector:
+def exact_statistics(dist, queries: QueryFamily) -> np.ndarray:
     """Exact expectation of every family function under the distribution."""
     if not isinstance(dist, (ExplicitDistribution, ProductDistribution)):
         raise TypeError(f"unsupported distribution type: {type(dist)!r}")

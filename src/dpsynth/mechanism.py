@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StatisticsVector
-
 
 def _laplace_from_uniform(sigma: float, u: np.ndarray) -> np.ndarray:
     """Inverse CDF on a single uniform draw per sample; exact scale in sigma.
@@ -109,8 +107,3 @@ def privacy_check(
         epsilon_achieved=achieved,
     )
 
-
-def perturb(stats: StatisticsVector, sigma: float, rng) -> StatisticsVector:
-    """Add one independent Laplace draw per statistic. No clipping afterwards."""
-    stats = np.asarray(stats, dtype=float)
-    return stats + laplace_vector(sigma, len(stats), rng)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from itertools import combinations, product
 from typing import Sequence
 
@@ -37,17 +36,6 @@ def marginal_family(p: int, d: int, kind: str = "monotone") -> QueryFamily:
     return QueryFamily(funcs)
 
 
-def family_size_bound(p: int, d: int) -> tuple[int, float]:
-    """Exact size of the monotone family and its closed-form upper bound."""
-    if p < 1:
-        raise ValueError("dimension p must be >= 1")
-    if d < 0 or d > p:
-        raise ValueError("marginal order d must satisfy 0 <= d <= p")
-    exact = sum(math.comb(p, j) for j in range(d + 1))
-    bound = 1.0 if d == 0 else (math.e * p / d) ** d
-    return exact, bound
-
-
 def _parse_kv(token: str, key: str, lineno: int) -> list[int]:
     prefix = key + "="
     if not token.startswith(prefix):
@@ -59,7 +47,7 @@ def _parse_kv(token: str, key: str, lineno: int) -> list[int]:
         raise ValueError(f"line {lineno}: {key} must be comma-separated integers") from None
 
 
-def parse_query_spec(text: str, schema: Sequence[int], auto_constant: bool = True) -> QueryFamily:
+def parse_query_spec(text: str, schema: Sequence[int]) -> QueryFamily:
     """Parse a query-spec listing into a family.
 
     Directives (one per line, ``#`` starts a comment):
@@ -68,8 +56,8 @@ def parse_query_spec(text: str, schema: Sequence[int], auto_constant: bool = Tru
       * ``indicator S=<i,j,...> values=<v,...>`` adds one assignment
         indicator; coordinates are 1-based.
 
-    With ``auto_constant`` the constant-one function is prepended when the
-    listing does not already produce it.
+    The constant-one function is prepended when the listing does not already
+    produce it.
     """
     schema = tuple(int(a) for a in schema)
     p = len(schema)
@@ -118,8 +106,6 @@ def parse_query_spec(text: str, schema: Sequence[int], auto_constant: bool = Tru
             funcs.append(TestFunction.assignment(zero_based, values))
         else:
             raise ValueError(f"line {lineno}: unknown directive {directive!r}")
-    if auto_constant and not any(f.is_constant_one for f in funcs):
+    if not any(f.is_constant_one for f in funcs):
         funcs.insert(0, TestFunction.constant_one())
-    if not funcs:
-        raise ValueError("query spec produced an empty family")
     return QueryFamily(funcs)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import Dataset, FiniteDensity, QueryFamily, evaluate_all
 from .distributions import _inverse_cdf_sample
-from .mechanism import perturb, privacy_check
+from .mechanism import laplace_vector, privacy_check
 from .optimize import build_lp, solve_min_max
 
 
@@ -90,7 +90,7 @@ def bootstrap(density: FiniteDensity, count: int, rng) -> Dataset:
 
 
 def _fmt(value) -> str:
-    """The one rendering of a report or config value."""
+    """The one rendering of a report or config scalar; only _render calls it."""
     if value is None:
         return "none"
     if isinstance(value, bool):
@@ -99,9 +99,17 @@ def _fmt(value) -> str:
         return str(int(value))
     if isinstance(value, str):
         return value
-    if isinstance(value, tuple):
-        return ",".join(_fmt(v) for v in value)
     return f"{float(value):.9g}"
+
+
+def _render(pairs) -> str:
+    """The one writer of report text: a ``key = value`` line per pair, in
+    order, with a tuple's items joined by commas."""
+    lines = []
+    for key, value in pairs:
+        items = value if isinstance(value, tuple) else (value,)
+        lines.append(f"{key} = {','.join(_fmt(v) for v in items)}\n")
+    return "".join(lines)
 
 
 @dataclass(frozen=True)
@@ -133,7 +141,7 @@ class PipelineReport:
     def to_text(self) -> str:
         """One ``name = value`` line per field in field order, leaving out unset ones."""
         values = ((f.name, getattr(self, f.name)) for f in fields(self))
-        return "".join(f"{name} = {_fmt(v)}\n" for name, v in values if v is not None)
+        return _render((name, v) for name, v in values if v is not None)
 
 
 @dataclass(frozen=True)
@@ -173,7 +181,9 @@ def generate(
     noise_seq, domain_seq, boot_seq = seed_root.spawn(3)
 
     exact_stats = evaluate_all(queries, data)  # the single read of the data
-    noisy = perturb(exact_stats, ledger.sigma, np.random.default_rng(noise_seq))
+    noisy = exact_stats + laplace_vector(
+        ledger.sigma, len(exact_stats), np.random.default_rng(noise_seq)
+    )
     reduced = sampling.sample(config.reduced_size, np.random.default_rng(domain_seq))
     problem = build_lp(queries, reduced, noisy)
     solution = solve_min_max(problem)

@@ -6,20 +6,16 @@ import math
 
 import numpy as np
 
-from dpsynth.core import _encode_rows
-
 
 def values(f, rows):
     """f's values on an (n, p) row array."""
     n = rows.shape[0]
-    if f.kind == "constant" or (f.kind != "table" and not f.coords):
+    if f.kind == "constant" or not f.coords:
         return np.ones(n)
     if f.kind == "monotone":
         return rows[:, list(f.coords)].prod(axis=1).astype(float)
-    if f.kind == "assignment":
-        sel = rows[:, list(f.coords)] == np.asarray(f.assigned)
-        return sel.all(axis=1).astype(float)
-    return f.table[_encode_rows(rows, f.schema)]
+    sel = rows[:, list(f.coords)] == np.asarray(f.assigned)
+    return sel.all(axis=1).astype(float)
 
 
 def values_matrix(queries, rows):
@@ -35,14 +31,10 @@ def weighted_sums(queries, rows, weights):
 
 
 def product_expectations(dist, queries):
-    """Closed forms per kind; tables by enumerating the product domain."""
+    """Closed forms per kind."""
     vectors = dist.coordinate_probabilities
     out = []
     for f in queries:
-        if f.kind == "table":
-            explicit = dist.to_explicit()
-            out.append(math.fsum(values(f, explicit.points.rows) * explicit.masses))
-            continue
         val = 1.0
         for c, v in zip(f.coords, f.assigned if f.kind == "assignment" else (1,) * len(f.coords)):
             val *= vectors[c][v]

@@ -11,10 +11,11 @@ from dpsynth import (
     TestFunction,
     boolean_experiment,
     deviation_check_empirical,
+    evaluate_all,
+    exact_statistics,
     marginal_family,
     privacy_audit,
     reweighted_deviation_check,
-    reweighted_measure,
 )
 from dpsynth.audit import _check_neighbors
 
@@ -36,34 +37,66 @@ def neighbor_datasets():
     return d1, d2
 
 
+def one_trial(population, sampling, family, m, seed, delta=0.2):
+    """One trial of the reweighted check, and the draws it weighted, replayed
+    from its seed: the draws are the check's first use of its generator."""
+    result = reweighted_deviation_check(
+        population, sampling, family, m=m, delta=delta, gamma=0.1, trials=1,
+        rng=np.random.default_rng(seed),
+    )
+    return result, sampling.sample(m, np.random.default_rng(seed))
+
+
+def fails_just_below_and_passes_at(deviation, *trial):
+    """Whether one trial fails with delta just below ``deviation`` and passes
+    with delta at it: its worst statistic deviation is exactly that."""
+    below = one_trial(*trial, delta=np.nextafter(deviation, 0.0))[0].failure_rate
+    at = one_trial(*trial, delta=deviation)[0].failure_rate
+    return (below, at) == (1.0, 0.0)
+
+
 class TestReweightedMeasure:
+    """The importance-weighted measure each reweighted trial builds: weight
+    population/sampling mass over m on each draw."""
+
     def test_identical_distributions_give_flat_weights(self):
         uniform = ProductDistribution.uniform((2, 2))
-        draws = uniform.sample(512, np.random.default_rng(0))
-        measure = reweighted_measure(uniform, uniform, draws)
-        assert (measure.weights == 1.0 / 512).all()
-        assert measure.total_mass == 1.0
+        family = marginal_family(2, 2, "monotone")
+        result, draws = one_trial(uniform, uniform, family, 512, 0)
+        assert result.mean_r == 1.0
+        # Weights of 1/512 make the statistics the draws' plain means.
+        exact = exact_statistics(uniform, family)
+        deviation = np.max(np.abs(evaluate_all(family, draws) - exact))
+        assert fails_just_below_and_passes_at(deviation, uniform, uniform, family, 512, 0)
 
     def test_weights_are_density_ratios(self, two_point_pair):
-        population, sampling, _ = two_point_pair
-        draws = Dataset((2,), [[0], [1], [0]])
-        measure = reweighted_measure(population, sampling, draws)
-        assert np.allclose(measure.weights, [1.5 / 3, 0.5 / 3, 1.5 / 3], atol=1e-15)
+        population, sampling, family = two_point_pair
+        result, draws = one_trial(population, sampling, family, 3, 1)
+        zeros = int((draws.rows == 0).sum())
+        assert result.mean_r == pytest.approx((1.5 * zeros + 0.5 * (3 - zeros)) / 3, abs=1e-15)
 
     def test_statistics_are_weighted_sums(self, two_point_pair):
         population, sampling, family = two_point_pair
-        draws = Dataset((2,), [[0], [1]])
-        measure = reweighted_measure(population, sampling, draws)
-        stats = measure.statistics(family)
-        assert stats[0] == pytest.approx(measure.total_mass, abs=1e-15)
-        assert stats[1] == pytest.approx(0.75, abs=1e-15)
+        result, draws = one_trial(population, sampling, family, 3, 1)
+        zeros = int((draws.rows == 0).sum())
+        # The constant's statistic is the total mass, the indicator's the
+        # weight on 0; their exact values are 1 and 0.75.
+        stats = np.array([result.mean_r, 1.5 * zeros / 3])
+        deviation = np.max(np.abs(stats - [1.0, 0.75]))
+        assert deviation > 0
+        assert fails_just_below_and_passes_at(deviation, population, sampling, family, 3, 1)
 
     def test_draws_off_support_rejected(self):
-        population = ProductDistribution.uniform((2,))
-        sampling = ExplicitDistribution(Dataset((2,), [[0]]), [1.0])
-        draws = Dataset((2,), [[1]])
-        with pytest.raises(ValueError, match="support"):
-            reweighted_measure(population, sampling, draws)
+        points = Dataset((2,), [[0], [1]])
+
+        class OffSupport(ExplicitDistribution):
+            def sample(self, count, rng):
+                return Dataset((2,), [[1]] * count)
+
+        population = ExplicitDistribution(points, [1.0, 0.0])
+        family = QueryFamily([TestFunction.constant_one()])
+        with pytest.raises(ValueError, match="sampling distribution's support"):
+            one_trial(population, OffSupport(points, [1.0, 0.0]), family, 4, 0)
 
 
 class TestDeviationCheck:
@@ -210,7 +243,7 @@ class TestNeighborCheck:
         with pytest.raises(ValueError, match="share a schema"):
             _check_neighbors(d1, Dataset((3,), [[0]]))
         with pytest.raises(ValueError, match="not add-one neighbors"):
-            _check_neighbors(d1, d2.concat(Dataset((2,), [[1]])))
+            _check_neighbors(d1, Dataset((2,), [[0]] * 10 + [[1]] * 2))
         swapped = Dataset((2,), [[0]] * 9 + [[1]])
         with pytest.raises(ValueError, match="not add-one neighbors"):
             _check_neighbors(d1, swapped)

@@ -19,3 +19,20 @@ def test_every_traced_layer_resolves(monkeypatch):
 
     tracer = tracing.Tracer()  # raises on a layer it cannot find
     assert {attr for _, attr, _, _ in tracer._sites} == {layer[3] for layer in tracing.LAYERS}
+
+
+def test_every_workload_runs_its_first_op_cleanly(monkeypatch, tmp_path):
+    """Each benchmark workload, built at a fixed seed, runs its first op once
+    and passes its own checks, so an API change that breaks the harness fails
+    here too."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+
+    for name, workload_class in workloads.WORKLOADS.items():
+        workload = workload_class()
+        workdir = tmp_path / name
+        workdir.mkdir()
+        workload.setup(5, workdir)
+        outcome = workload.check(workload.ops()[0]())
+        assert outcome.problems == [], name

@@ -1,4 +1,5 @@
 import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +109,16 @@ class TestGenerateCommand:
         code, _, _ = run_generate(data, tmp_path)
         assert code == EXIT_USAGE
         assert "line 2:" in capsys.readouterr().err
+
+    def test_undecodable_byte_is_one_error_line(self, tmp_path, capsys):
+        data = tmp_path / "ff.txt"
+        data.write_bytes(b"2,2\n0,1\n\xff,0\n")
+        code, out, _ = run_generate(data, tmp_path)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "can't decode byte 0xff" in err
+        assert not out.exists()
 
     def test_crlf_data_file_is_accepted(self, data_file, tmp_path):
         crlf = tmp_path / "crlf.txt"
@@ -264,6 +275,15 @@ class TestKappaCommand:
         assert code == EXIT_USAGE
         assert "--mc needs --seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nu, mu", [("uniform 2,2,2", "uniform 2,2"),
+                                        ("uniform 2,2", "uniform 2,2,2")])
+    def test_monte_carlo_schema_mismatch(self, nu, mu, capsys):
+        code = main(["kappa", "--nu", nu, "--mu", mu, "--mc", "100", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == "error: distributions must share a schema\n"
+
     def test_domination_failure(self, capsys, tmp_path):
         nu = tmp_path / "nu.txt"
         nu.write_text("explicit 2\n0;0.5\n1;0.5\n")
@@ -348,3 +368,54 @@ def test_non_finite_parameters_exit_with_one_error_line(
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not (tmp_path / "synthetic.txt").exists()
+
+
+PINNED_REPORTS = Path(__file__).parent / "pinned_reports"
+PINNED_RUNS = {
+    "generate": [
+        "generate", "--data", "{data}", "--queries", "marginals monotone d=1",
+        "--mu", "uniform", "--delta", "0.25", "--gamma", "0.1", "--k", "120",
+        "--m", "100", "--seed", "7", "--out", "{out}",
+    ],
+    "generate-epsilon": [
+        "generate", "--data", "{data}", "--queries", "marginals monotone d=1",
+        "--mu", "uniform", "--delta", "0.25", "--gamma", "0.1", "--k", "120",
+        "--m", "100", "--seed", "7", "--out", "{out}", "--epsilon", "0.05",
+        "--allow-privacy-failure", "--kappa-bound", "1.5",
+    ],
+    "generate-noisy-targets": [
+        "generate", "--data", "{data}", "--queries", "indicator S=2,4 values=1,0",
+        "--mu", "uniform", "--delta", "0.25", "--gamma", "0.1", "--k", "50",
+        "--m", "80", "--seed", "3", "--out", "{out}", "--export-noisy-targets",
+    ],
+    "lemma3": [
+        "audit", "lemma3", "--nu", "uniform 2,2,2,2", "--queries", "marginals monotone d=1",
+        "--n", "98", "--delta", "0.2", "--gamma", "0.1", "--trials", "50", "--seed", "11",
+    ],
+    "lemma4": [
+        "audit", "lemma4", "--nu", "{nu}", "--mu", "uniform 2",
+        "--queries", "indicator S=1 values=0", "--m", "625", "--delta", "0.2",
+        "--gamma", "0.1", "--trials", "50", "--seed", "13",
+    ],
+    "dp": [
+        "audit", "dp", "--queries", "indicator S=1 values=1", "--sigma", "0.2",
+        "--d1", "{data}", "--d2", "{data}", "--trials", "2000", "--bins", "4", "--seed", "14",
+    ],
+    "corollary": [
+        "audit", "corollary", "--p", "4", "--d", "1", "--n", "120", "--k", "120",
+        "--m", "150", "--delta", "0.25", "--gamma", "0.1", "--trials", "3", "--seed", "16",
+    ],
+}
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_RUNS))
+def test_full_report_bytes_are_pinned(run, data_file, two_point_nu_file, tmp_path, capsys):
+    """The exit code and the whole stdout report, config echo included, with
+    the temporary directory written as <tmp>. The dp run is too short for its
+    gate, so it also pins a failed gate's report and exit code."""
+    fill = {"data": data_file, "nu": two_point_nu_file, "out": tmp_path / "synthetic.txt"}
+    code = main([arg.format(**fill) for arg in PINNED_RUNS[run]])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (EXIT_GATE if run == "dp" else EXIT_OK, "")
+    report = captured.out.replace(str(tmp_path), "<tmp>")
+    assert report == (PINNED_REPORTS / f"{run}.txt").read_text()

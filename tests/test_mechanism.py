@@ -6,8 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpsynth import (
+    Dataset,
+    PipelineConfig,
+    ProductDistribution,
+    evaluate_all,
+    generate,
     laplace_vector,
-    perturb,
+    marginal_family,
     privacy_check,
     sensitivity_bound,
     sigma_for,
@@ -180,18 +185,31 @@ class TestPrivacyCheck:
 
 
 class TestPerturb:
+    """The noise step of ``generate``: one Laplace draw per statistic, from the
+    first of the three seeds a run spawns, added without clipping."""
+
+    @staticmethod
+    def release(delta, seed=7):
+        data = Dataset((2,) * 6, np.random.default_rng(3).integers(0, 2, (40, 6)))
+        family = marginal_family(6, 2, "monotone")
+        config = PipelineConfig(
+            delta_target=delta, gamma=0.1, synthetic_size=5, reduced_size=30, seed=seed,
+            export_noisy_targets=True,
+        )
+        report = generate(data, family, ProductDistribution.uniform((2,) * 6), config).report
+        return data, family, report
+
     def test_matches_direct_noise(self):
-        stats = np.array([0.2, 0.4, 0.6])
-        noisy = perturb(stats, 0.3, np.random.default_rng(77))
-        noise = laplace_vector(0.3, 3, np.random.default_rng(77))
-        assert np.array_equal(noisy, stats + noise)
+        data, family, report = self.release(0.3)
+        noise_rng = np.random.default_rng(np.random.SeedSequence(7).spawn(3)[0])
+        noise = laplace_vector(report.sigma, len(family), noise_rng)
+        assert np.array_equal(report.noisy_targets, evaluate_all(family, data) + noise)
 
     def test_no_clipping(self):
-        stats = np.ones(2000)
-        noisy = perturb(stats, 5.0, np.random.default_rng(5))
+        noisy = np.array(self.release(50.0)[2].noisy_targets)
         assert (noisy > 1.0).any()
         assert (noisy < -1.0).any()
 
     def test_preserves_length(self):
-        noisy = perturb(np.zeros(7), 1.0, np.random.default_rng(1))
-        assert noisy.shape == (7,)
+        _, family, report = self.release(0.3)
+        assert len(report.noisy_targets) == len(family) == 22

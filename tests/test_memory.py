@@ -47,7 +47,7 @@ def test_from_text_peak_stays_below_one_int64_copy_of_the_rows():
 
 def test_bootstrap_peak_is_at_most_two_row_arrays():
     support = ProductDistribution.uniform((2,) * P).sample(8250, 1)
-    density = FiniteDensity.uniform(support)
+    density = FiniteDensity(support, np.full(len(support), 1 / len(support)))
     # Measured 8.0 MB: the uniforms, the indices and the gathered uint8 rows.
     assert traced_peak(lambda: bootstrap(density, N, 2)) <= 2 * N * P
 

@@ -9,8 +9,8 @@ from dpsynth import (
     TestFunction,
     build_lp,
     evaluate_all,
+    laplace_vector,
     marginal_family,
-    perturb,
     sigma_for,
     solve_min_max,
 )
@@ -208,7 +208,9 @@ def pipeline_sized_problem(seed, p=16, d=2, n=1000, m=8000):
     family = marginal_family(p, d, "monotone")
     schema = (2,) * p
     data = Dataset(schema, rng.integers(0, 2, size=(n, p)))
-    targets = perturb(evaluate_all(family, data), sigma_for(0.2, len(family), 0.1), rng)
+    targets = evaluate_all(family, data) + laplace_vector(
+        sigma_for(0.2, len(family), 0.1), len(family), rng
+    )
     domain = ProductDistribution.uniform(schema).sample(m, rng)
     return build_lp(family, domain, targets)
 

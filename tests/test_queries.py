@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from dpsynth import family_size_bound, marginal_family, parse_query_spec
+from dpsynth import marginal_family, parse_query_spec
 
 
 class TestMarginalFamily:
@@ -48,30 +48,6 @@ class TestMarginalFamily:
             marginal_family(3, 1, "parity")
 
 
-class TestFamilySizeBound:
-    def test_exact_counts(self):
-        assert family_size_bound(16, 1)[0] == 17
-        assert family_size_bound(10, 2)[0] == 56
-
-    def test_bound_values(self):
-        # (e*p/d)^d, evaluated independently
-        assert family_size_bound(10, 2)[1] == pytest.approx(
-            184.72640247326623, rel=1e-12
-        )
-        assert family_size_bound(12, 1)[1] == pytest.approx(
-            32.61938194150854, rel=1e-12
-        )
-
-    def test_bound_dominates_exact_size(self):
-        for p in range(1, 13):
-            for d in range(p + 1):
-                exact, bound = family_size_bound(p, d)
-                assert bound >= exact
-
-    def test_degenerate_order(self):
-        assert family_size_bound(7, 0) == (1, 1.0)
-
-
 class TestParseQuerySpec:
     def test_marginals_directive(self):
         family = parse_query_spec("marginals monotone d=1", (2, 2, 2))
@@ -95,15 +71,12 @@ class TestParseQuerySpec:
     def test_auto_constant(self):
         family = parse_query_spec("indicator S=1 values=0", (3, 2))
         assert family[0].is_constant_one
-        bare = parse_query_spec("indicator S=1 values=0", (3, 2), auto_constant=False)
-        assert len(bare) == 1
-        assert not bare[0].is_constant_one
+        assert [f.label() for f in family] == ["1", "ind(x1=0)"]
 
     def test_empty_spec(self):
         family = parse_query_spec("# nothing\n", (2, 2))
         assert len(family) == 1
-        with pytest.raises(ValueError, match="empty family"):
-            parse_query_spec("# nothing\n", (2, 2), auto_constant=False)
+        assert family[0].is_constant_one
 
     def test_indicator_on_non_boolean_schema(self):
         family = parse_query_spec("indicator S=1,2 values=2,0", (3, 4))

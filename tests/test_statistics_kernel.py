@@ -14,18 +14,14 @@ import statistics_oracle as oracle
 from dpsynth import (
     Dataset,
     ExplicitDistribution,
-    FiniteDensity,
     ProductDistribution,
     QueryFamily,
-    ReweightedMeasure,
     TestFunction,
     evaluate_all,
-    evaluate_statistic,
     exact_statistics,
     marginal_family,
-    weighted_statistics,
 )
-from dpsynth.core import _STATS_BLOCK, TABLE_DOMAIN_CAP, _domain_size, _encode_rows
+from dpsynth.core import _STATS_BLOCK, _encode_rows
 
 WEIGHTS = st.floats(0.0, 1.0)
 
@@ -35,21 +31,15 @@ def functions(draw, schema):
     p = len(schema)
     boolean = [c for c in range(p) if schema[c] == 2]
     choices = ["constant", "assignment"] + (["monotone"] if boolean else [])
-    if np.prod(schema) <= 64:
-        choices.append("table")
     kind = draw(st.sampled_from(choices))
     if kind == "constant":
         return TestFunction.constant_one()
     if kind == "monotone":
         coords = draw(st.lists(st.sampled_from(boolean), max_size=3, unique=True))
         return TestFunction.monotone(coords)
-    if kind == "assignment":
-        coords = draw(st.lists(st.integers(0, p - 1), max_size=min(3, p), unique=True))
-        values = [draw(st.integers(0, schema[c] - 1)) for c in coords]
-        return TestFunction.assignment(coords, values)
-    size = int(np.prod(schema))
-    table = draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
-    return TestFunction.from_table(schema, table)
+    coords = draw(st.lists(st.integers(0, p - 1), max_size=min(3, p), unique=True))
+    values = [draw(st.integers(0, schema[c] - 1)) for c in coords]
+    return TestFunction.assignment(coords, values)
 
 
 @st.composite
@@ -76,9 +66,6 @@ def test_means_and_values_match_the_reference(instance):
     data = Dataset(schema, rows)
     assert np.array_equal(evaluate_all(family, data), oracle.means(family, rows))
     assert np.array_equal(family.values_matrix(rows), oracle.values_matrix(family, rows))
-    f = family[0]
-    assert evaluate_statistic(f, data) == oracle.means(QueryFamily([f]), rows)[0]
-    assert np.array_equal(f.values(rows), oracle.values(f, rows))
 
 
 @settings(max_examples=150, deadline=None)
@@ -86,13 +73,7 @@ def test_means_and_values_match_the_reference(instance):
 def test_weighted_sums_match_the_reference(instance, data):
     schema, family, rows = instance
     raw = np.array(data.draw(st.lists(WEIGHTS, min_size=len(rows), max_size=len(rows))))
-    measure = ReweightedMeasure(Dataset(schema, rows), raw, float(raw.sum()))
-    assert np.array_equal(measure.statistics(family), oracle.weighted_sums(family, rows, raw))
-    w = normalized(raw)
-    density = FiniteDensity(Dataset(schema, rows), w)
-    assert np.array_equal(
-        weighted_statistics(family, density), oracle.weighted_sums(family, rows, w)
-    )
+    assert np.array_equal(family.weighted_sums(rows, raw), oracle.weighted_sums(family, rows, raw))
     points = np.unique(rows, axis=0)
     masses = normalized(raw[: len(points)])
     explicit = ExplicitDistribution(Dataset(schema, points), masses)
@@ -124,7 +105,6 @@ def test_block_boundaries(offset, blocks):
     family = QueryFamily([
         *marginal_family(p, 2, "monotone"),
         TestFunction.assignment((0, 4, 8), (1, 0, 1)),
-        TestFunction.from_table((2,) * p, np.linspace(-1.0, 1.0, 2**p)),
     ])
     n = blocks * block_rows(family) + offset
     rng = np.random.default_rng(n)
@@ -133,13 +113,11 @@ def test_block_boundaries(offset, blocks):
     assert np.array_equal(evaluate_all(family, data), oracle.means(family, rows))
     assert np.array_equal(family.values_matrix(rows), oracle.values_matrix(family, rows))
     w = rng.random(n)
-    measure = ReweightedMeasure(data, w, float(w.sum()))
-    assert np.array_equal(measure.statistics(family), oracle.weighted_sums(family, rows, w))
+    assert np.array_equal(family.weighted_sums(rows, w), oracle.weighted_sums(family, rows, w))
 
 
-# Schemas whose rows are held as uint8, uint16 or uint32; those with at most
-# TABLE_DOMAIN_CAP points also get a table, and (300, 300, 3), (257, 4, 256)
-# and (70_000, 2) have mixed-radix codes past 2^16.
+# Schemas whose rows are held as uint8, uint16 or uint32; (300, 300, 3),
+# (257, 4, 256) and (70_000, 2) have mixed-radix codes past 2^16.
 NARROW_SCHEMAS = [
     (2, 3, 5), (256, 2, 7), (300, 300, 3), (257, 4, 256), (70_000, 2), (2, 70_000, 300),
 ]
@@ -157,10 +135,6 @@ def narrow_instances(draw):
         functions.append(
             TestFunction.assignment(coords, [draw(st.sampled_from(pools[c])) for c in coords])
         )
-    if _domain_size(schema) <= TABLE_DOMAIN_CAP:
-        seed = draw(st.integers(0, 2**32 - 1))
-        table = np.random.default_rng(seed).uniform(-1.0, 1.0, _domain_size(schema))
-        functions.append(TestFunction.from_table(schema, table))
     n = draw(st.integers(1, 30))
     rows = np.array(
         [[draw(st.sampled_from(pool)) for pool in pools] for _ in range(n)], dtype=np.int64
@@ -178,10 +152,7 @@ def test_narrow_rows_match_the_reference_on_int64_rows(instance, data):
     assert np.array_equal(evaluate_all(family, points), oracle.means(family, wide))
     assert np.array_equal(family.values_matrix(narrow), oracle.values_matrix(family, wide))
     raw = np.array(data.draw(st.lists(WEIGHTS, min_size=len(wide), max_size=len(wide))))
-    density = FiniteDensity(points, normalized(raw))
-    assert np.array_equal(
-        weighted_statistics(family, density), oracle.weighted_sums(family, wide, density.weights)
-    )
+    assert np.array_equal(family.weighted_sums(narrow, raw), oracle.weighted_sums(family, wide, raw))
     codes = [int(np.ravel_multi_index(tuple(row), schema)) for row in wide.tolist()]
     assert _encode_rows(narrow, schema).tolist() == codes
     product = ProductDistribution([normalized(np.arange(1.0, a + 1)) for a in schema])
