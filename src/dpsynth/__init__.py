@@ -32,8 +32,6 @@ from .mechanism import (
     PrivacyCheck,
     laplace_vector,
     privacy_check,
-    sensitivity_bound,
-    sigma_for,
 )
 from .optimize import FitProblem, FitSolution, build_lp, solve_min_max
 from .queries import marginal_family, parse_query_spec
@@ -82,7 +80,5 @@ __all__ = [
     "renyi_condition_number_exact",
     "renyi_condition_number_mc",
     "reweighted_deviation_check",
-    "sensitivity_bound",
-    "sigma_for",
     "solve_min_max",
 ]

@@ -37,6 +37,11 @@ class _AuditResult:
         return _render((key, getattr(self, name)) for key, name in self._REPORT)
 
 
+def _binomial_gate(rate: float, trials: int) -> float:
+    """A failure rate plus three binomial standard errors over the trials."""
+    return rate + 3.0 * math.sqrt(rate / trials)
+
+
 @dataclass(frozen=True)
 class DeviationCheckResult(_AuditResult):
     failure_rate: float
@@ -76,7 +81,7 @@ def deviation_check_empirical(
         if np.max(np.abs(stats - exact)) > delta:
             failures += 1
     failure_rate = failures / trials
-    gate = gamma + 3.0 * math.sqrt(gamma / trials)
+    gate = _binomial_gate(gamma, trials)
     return DeviationCheckResult(
         failure_rate=failure_rate,
         gate=gate,
@@ -141,7 +146,7 @@ def reweighted_deviation_check(
         masses.append(math.fsum(weights))
     failure_rate = failures / trials
     mean_r = math.fsum(masses) / trials
-    gate = gamma + 3.0 * math.sqrt(gamma / trials)
+    gate = _binomial_gate(gamma, trials)
     tolerance = 3.0 * math.sqrt(kappa / (m * trials))
     return ReweightedCheckResult(
         failure_rate=failure_rate,
@@ -308,7 +313,7 @@ def boolean_experiment(
         errors.append(accuracy_error(family, data, result.synthetic))
     threshold = 8.0 * delta
     fail_fraction = sum(1 for e in errors if e > threshold) / trials
-    gate = 4.0 * gamma + 3.0 * math.sqrt(4.0 * gamma / trials)
+    gate = _binomial_gate(4.0 * gamma, trials)
     return BooleanExperimentResult(
         errors=tuple(errors),
         fail_fraction=fail_fraction,

@@ -59,9 +59,9 @@ def _load_distribution(spec: str, schema=None):
 
 
 def _read_dataset(path: str) -> Dataset:
-    # Bytes decoded as they are, with no newline translation and no locale:
-    # the CLI parses the same characters as the library.
-    return Dataset.from_text(Path(path).read_bytes().decode("utf-8"))
+    # The file's bytes as they are, with no decoding and no newline
+    # translation: the CLI parses the same bytes as the library.
+    return Dataset.from_text(Path(path).read_bytes())
 
 
 def _cmd_generate(args) -> tuple[str, bool]:
@@ -80,7 +80,7 @@ def _cmd_generate(args) -> tuple[str, bool]:
         export_noisy_targets=args.export_noisy_targets,
     )
     result = generate(data, queries, sampling, config)
-    Path(args.out).write_text(result.synthetic.to_text())
+    Path(args.out).write_bytes(result.synthetic.to_text())
     return result.report.to_text(), True
 
 

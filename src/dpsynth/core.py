@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -24,11 +25,14 @@ class Dataset:
 
     def __init__(self, schema: Sequence[int], rows) -> None:
         self._schema = _check_schema(schema)
-        arr = np.asarray(rows)
-        # The int64 cast would truncate a fractional cell and make NaN a number.
-        if arr.dtype.kind == "f" and not (np.isfinite(arr) & (arr == np.trunc(arr))).all():
+        given = np.asarray(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # casting NaN or a complex number warns
+            arr = None if given.dtype.kind in "SU" else given.astype(np.int64, copy=False)
+        # The cast must give back the input: it would truncate a fraction, drop
+        # an imaginary part, make NaN a number or parse text (use from_text).
+        if arr is None or not (given.dtype.kind in "biu" or (arr == given).all()):
             raise ValueError("row values must be whole numbers")
-        arr = arr.astype(np.int64, copy=False)
         if arr.size == 0:
             arr = arr.reshape(0, len(self._schema))
         if arr.ndim != 2 or arr.shape[1] != len(self._schema):
@@ -67,27 +71,27 @@ class Dataset:
     def __repr__(self) -> str:
         return f"Dataset(schema={self._schema}, n={len(self)})"
 
-    def to_text(self) -> str:
+    def to_text(self) -> bytes:
         """Serialize: arity line, then one comma-separated row per record."""
         step = max(1, _TEXT_BLOCK // len(self._schema))
-        parts = [",".join(str(a) for a in self._schema) + "\n"]
+        parts = [(",".join(str(a) for a in self._schema) + "\n").encode()]
         for start in range(0, len(self), step):
             parts.append(_render_block(self._rows[start : start + step]))
-        return "".join(parts)
+        return b"".join(parts)
 
     @classmethod
-    def from_text(cls, text: str) -> "Dataset":
-        r"""Parse the text written by ``to_text``.
+    def from_text(cls, text: bytes) -> "Dataset":
+        r"""Parse the bytes written by ``to_text``.
 
         Cells are ASCII decimal integers separated by ``,``; rows end in
         ``\n`` or ``\r\n``; spaces and tabs around a cell and trailing blank
-        lines are ignored. Anything else raises ValueError naming its line.
+        lines are ignored. Any other byte raises ValueError naming its line.
         """
         end = _body_end(text)
-        head_end = text.find("\n", 0, end)
+        head_end = text.find(b"\n", 0, end)
         if head_end < 0:
             head_end = end
-        head = text[:head_end].encode("ascii", "replace") + b"\n"
+        head = text[:head_end] + b"\n"
         header = _scan_block(head, head.count(b",") + 1)
         if header is None:
             raise ValueError("line 1: expected comma-separated arities")
@@ -98,17 +102,17 @@ class Dataset:
             raise ValueError(f"invalid dataset: line 1: {exc}") from None
         # One row per body newline, where the header's newline stands in for
         # the last row's, which the strip removed.
-        rows = np.empty((text.count("\n", head_end, end), len(schema)), dtype=_row_dtype(schema))
+        rows = np.empty((text.count(b"\n", head_end, end), len(schema)), dtype=_row_dtype(schema))
         start, n = head_end + 1, 0
         while start < end:
             # Blocks of whole lines: stop just past the first newline after
             # the nominal block size, or at the end of the text.
-            stop = text.find("\n", start + _TEXT_BLOCK, end) + 1 or end
+            stop = text.find(b"\n", start + _TEXT_BLOCK, end) + 1 or end
             # The last block gets back its stripped "\n". Neither the block's
             # bytes nor its rows outlive the step, so one block's worth of
             # temporaries is live at a time.
             tail = b"" if stop < end else b"\n"
-            block = _parse_block(text[start:stop].encode("ascii", "replace") + tail, arities, n + 2)
+            block = _parse_block(text[start:stop] + tail, arities, n + 2)
             rows[n : n + len(block)] = block
             n += len(block)
             start = stop
@@ -138,7 +142,7 @@ def _row_dtype(schema: tuple[int, ...]) -> np.dtype:
 
 
 # Text codec. The body is parsed in blocks of whole lines of about this many
-# characters and rendered in blocks of about this many cells, so temporaries
+# bytes and rendered in blocks of about this many cells, so temporaries
 # scale with the block, not the file.
 _TEXT_BLOCK = 1 << 20
 # Longer cells might not fit an int64; no enumerable category needs them.
@@ -154,13 +158,13 @@ _BYTE_CLASS[[ord(" "), ord("\t")]] = _BLANK
 _BYTE_CLASS[ord("\r")] = _CR
 
 
-def _body_end(text: str) -> int:
-    r"""``len(text.rstrip(" \t\r\n"))``, stripping growing tail slices
+def _body_end(text: bytes) -> int:
+    r"""``len(text.rstrip(b" \t\r\n"))``, stripping growing tail slices
     instead of copying the whole text."""
     end, step = len(text), 64
     while True:
         cut = max(0, end - step)
-        kept = len(text[cut:end].rstrip(" \t\r\n"))
+        kept = len(text[cut:end].rstrip(b" \t\r\n"))
         if kept or not cut:
             return cut + kept
         end, step = cut, 2 * step
@@ -266,7 +270,7 @@ def _parse_block(buf: bytes, arities: np.ndarray, first_line: int) -> np.ndarray
     return rows
 
 
-def _render_block(rows: np.ndarray) -> str:
+def _render_block(rows: np.ndarray) -> bytes:
     r"""Lines of decimal cells, comma separated, each ended by ``\n``."""
     cells = rows.ravel()
     digits = len(str(int(cells.max())))
@@ -283,7 +287,7 @@ def _render_block(rows: np.ndarray) -> str:
     flat = text.ravel()
     if digits > 1:
         flat = flat[flat != 0]
-    return flat.tobytes().decode("ascii")
+    return flat.tobytes()
 
 
 def _domain_size(schema: Sequence[int]) -> int:
@@ -371,19 +375,6 @@ class TestFunction:
     def is_constant_one(self) -> bool:
         return not self.coords
 
-    def check_schema(self, schema: Sequence[int]) -> None:
-        """Raise ValueError unless this function conforms to the schema."""
-        schema = tuple(int(a) for a in schema)
-        if self.coords and max(self.coords) >= len(schema):
-            raise ValueError("schema mismatch: coordinate index out of range")
-        if self.kind == "monotone" and any(schema[c] != 2 for c in self.coords):
-            raise ValueError("monotone marginals need Boolean coordinates")
-        for c, v in zip(self.coords, self.assigned):
-            if v >= schema[c]:
-                raise ValueError(
-                    f"schema mismatch: value {v} out of range for coordinate {c + 1}"
-                )
-
     def label(self) -> str:
         if not self.coords:
             return "1"
@@ -411,7 +402,8 @@ class QueryFamily:
     """Ordered family of test functions with stable positional indices.
 
     Compiled once: a literal list (coordinate, value) whose literal 0 is always
-    true, and a (|F|, D) array of literal indices padded with literal 0.
+    true, a (|F|, D) array of literal indices padded with literal 0, and the
+    coordinates of the monotone functions.
     """
 
     def __init__(self, functions: Iterable[TestFunction]):
@@ -427,6 +419,8 @@ class QueryFamily:
         self._literal_index = np.zeros((len(terms), max([1, *map(len, terms)])), dtype=np.intp)
         for row, term in zip(self._literal_index, terms):
             row[: len(term)] = term
+        monotone = (f.coords for f in self._functions if f.kind == "monotone")
+        self._monotone = list(set().union(*monotone))
 
     def __len__(self) -> int:
         return len(self._functions)
@@ -451,8 +445,17 @@ class QueryFamily:
         return QueryFamily((TestFunction.constant_one(),) + self._functions)
 
     def check_schema(self, schema: Sequence[int]) -> None:
-        for f in self._functions:
-            f.check_schema(schema)
+        """Raise ValueError unless every function conforms to the schema."""
+        arity = np.asarray(schema)
+        coord, value = self._literals[:, 1:]
+        if coord.size and coord.max() >= len(arity):
+            raise ValueError("schema mismatch: coordinate index out of range")
+        if (arity[self._monotone] != 2).any():
+            raise ValueError("monotone marginals need Boolean coordinates")
+        bad = np.flatnonzero(value >= arity[coord])
+        if len(bad):
+            c, v = coord[bad[0]], value[bad[0]]
+            raise ValueError(f"schema mismatch: value {v} out of range for coordinate {c + 1}")
 
     def _masks(self, rows: np.ndarray) -> Iterator[np.ndarray]:
         """The statistics kernel: for each block of rows in turn, whether
@@ -505,6 +508,18 @@ class QueryFamily:
         return out
 
 
+def _check_masses(masses: np.ndarray, name: str, within: str | None = None) -> np.ndarray:
+    """``masses``, made read-only. Raises ValueError, naming the vector ``name``,
+    unless its entries are nonnegative and finite and, given the decimal
+    tolerance ``within``, sum to 1 within it."""
+    if not (np.isfinite(masses) & (masses >= 0)).all():
+        raise ValueError(f"{name} must be nonnegative and finite")
+    if within is not None and abs(math.fsum(masses) - 1.0) > float(within):
+        raise ValueError(f"{name} must sum to 1 within {within}")
+    masses.setflags(write=False)
+    return masses
+
+
 @dataclass(frozen=True)
 class FiniteDensity:
     """Probability weights over the points of a finite support dataset."""
@@ -516,12 +531,7 @@ class FiniteDensity:
         w = np.array(self.weights, dtype=float, copy=True)
         if w.ndim != 1 or len(w) != len(self.support):
             raise ValueError("need exactly one weight per support point")
-        if not (np.isfinite(w) & (w >= 0)).all():
-            raise ValueError("weights must be nonnegative and finite")
-        if abs(math.fsum(w) - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1 within 1e-9")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _check_masses(w, "weights", "1e-9"))
 
 
 def evaluate_all(queries: QueryFamily, data: Dataset) -> np.ndarray:

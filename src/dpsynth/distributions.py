@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     Dataset,
     QueryFamily,
+    _check_masses,
     _domain_size,
     _encode_rows,
     _first_occurrences,
@@ -44,14 +45,7 @@ class ProductDistribution:
             v = np.array(vec, dtype=float, copy=True).reshape(-1)
             if len(v) < 1:
                 raise ValueError(f"coordinate {i + 1}: empty probability vector")
-            if not (np.isfinite(v) & (v >= 0)).all():
-                raise ValueError(
-                    f"coordinate {i + 1}: probabilities must be nonnegative and finite"
-                )
-            if abs(math.fsum(v) - 1.0) > 1e-12:
-                raise ValueError(f"coordinate {i + 1}: probabilities must sum to 1 within 1e-12")
-            v.setflags(write=False)
-            vectors.append(v)
+            vectors.append(_check_masses(v, f"coordinate {i + 1}: probabilities", "1e-12"))
         if not vectors:
             raise ValueError("need at least one coordinate")
         self._vectors = tuple(vectors)
@@ -103,13 +97,9 @@ class ExplicitDistribution:
             raise ValueError("need exactly one mass per point")
         if len(points) == 0:
             raise ValueError("need at least one point")
-        if not (np.isfinite(m) & (m >= 0)).all():
-            raise ValueError("masses must be nonnegative and finite")
-        if abs(math.fsum(m) - 1.0) > 1e-12:
-            raise ValueError("masses must sum to 1 within 1e-12")
+        _check_masses(m, "masses", "1e-12")
         if len(_first_occurrences(points.rows)) != len(points):
             raise ValueError("points must be distinct")
-        m.setflags(write=False)
         self._points = points
         self._masses = m
         # Sorted mixed-radix codes for vectorized mass lookup.
@@ -208,9 +198,7 @@ def kappa_uniform(masses, domain_size: int) -> float:
         raise ValueError("domain size must be >= 1")
     if isinstance(masses, ExplicitDistribution):
         masses = masses.masses
-    m = np.asarray(masses, dtype=float)
-    if not (np.isfinite(m) & (m >= 0)).all():
-        raise ValueError("masses must be nonnegative and finite")
+    m = _check_masses(np.array(masses, dtype=float), "masses")
     if len(m) > domain_size:
         raise ValueError("more mass points than domain elements")
     return domain_size * math.fsum(m * m)
@@ -256,37 +244,31 @@ def parse_distribution_spec(text: str):
             return ProductDistribution(vectors)
         except ValueError as exc:
             raise ValueError(f"invalid product distribution: {exc}") from None
+    if kind not in ("uniform", "explicit"):
+        raise ValueError(f"line {first_no}: unknown distribution kind {kind!r}")
+    if len(tokens) != 2:
+        raise ValueError(f"line {first_no}: expected '{kind} <arities>'")
+    try:
+        schema = [int(t) for t in tokens[1].split(",")]
+    except ValueError:
+        raise ValueError(f"line {first_no}: arities must be comma-separated integers") from None
     if kind == "uniform":
-        if len(tokens) != 2:
-            raise ValueError(f"line {first_no}: expected 'uniform <arities>'")
-        try:
-            schema = [int(t) for t in tokens[1].split(",")]
-        except ValueError:
-            raise ValueError(f"line {first_no}: arities must be comma-separated integers") from None
         if len(body) > 1:
             raise ValueError(f"line {body[1][0]}: 'uniform' takes no further lines")
         return ProductDistribution.uniform(schema)
-    if kind == "explicit":
-        if len(tokens) != 2:
-            raise ValueError(f"line {first_no}: expected 'explicit <arities>'")
+    rows, masses = [], []
+    for lineno, ln in body[1:]:
+        if ";" not in ln:
+            raise ValueError(f"line {lineno}: expected 'point;mass'")
+        point_part, mass_part = ln.split(";", 1)
         try:
-            schema = [int(t) for t in tokens[1].split(",")]
+            rows.append([int(t) for t in point_part.split(",")])
+            masses.append(float(mass_part))
         except ValueError:
-            raise ValueError(f"line {first_no}: arities must be comma-separated integers") from None
-        rows, masses = [], []
-        for lineno, ln in body[1:]:
-            if ";" not in ln:
-                raise ValueError(f"line {lineno}: expected 'point;mass'")
-            point_part, mass_part = ln.split(";", 1)
-            try:
-                rows.append([int(t) for t in point_part.split(",")])
-                masses.append(float(mass_part))
-            except ValueError:
-                raise ValueError(f"line {lineno}: expected 'i,j,...;mass'") from None
-        if not rows:
-            raise ValueError("explicit spec needs at least one point line")
-        try:
-            return ExplicitDistribution(Dataset(schema, rows), masses)
-        except ValueError as exc:
-            raise ValueError(f"invalid explicit distribution: {exc}") from None
-    raise ValueError(f"line {first_no}: unknown distribution kind {kind!r}")
+            raise ValueError(f"line {lineno}: expected 'i,j,...;mass'") from None
+    if not rows:
+        raise ValueError("explicit spec needs at least one point line")
+    try:
+        return ExplicitDistribution(Dataset(schema, rows), masses)
+    except ValueError as exc:
+        raise ValueError(f"invalid explicit distribution: {exc}") from None

@@ -43,29 +43,6 @@ def laplace_vector(sigma: float, size, rng) -> np.ndarray:
     return _laplace_from_uniform(sigma, u)
 
 
-def sensitivity_bound(family_size: int, n: int) -> float:
-    """Worst-case L1 shift of the statistics vector when one record is added or removed."""
-    if family_size < 1:
-        raise ValueError("family size must be >= 1")
-    if n < 1:
-        raise ValueError("dataset size must be >= 1")
-    return 2.0 * family_size / n
-
-
-def sigma_for(delta_target: float, family_size: int, gamma: float) -> float:
-    """Noise scale that keeps the worst of |F| draws below delta_target w.p. 1 - gamma."""
-    if not (delta_target > 0 and math.isfinite(delta_target)):
-        raise ValueError("delta_target must be positive and finite")
-    if family_size < 1:
-        raise ValueError("family size must be >= 1")
-    if not 0 < gamma < 1:
-        raise ValueError("gamma must lie in (0, 1)")
-    ratio = family_size / gamma
-    if ratio <= 1.0:
-        raise ValueError("family_size/gamma must exceed 1 for a positive noise scale")
-    return delta_target / math.log(ratio)
-
-
 @dataclass(frozen=True)
 class PrivacyCheck:
     """The privacy ledger of one release: noise scale, budget and the size gate."""
@@ -83,14 +60,24 @@ def privacy_check(
 ) -> PrivacyCheck:
     """Gate: n must reach 2/(epsilon*delta) * |F| * ln(|F|/gamma).
 
-    Equivalently the release passes when sensitivity_bound / sigma_for, the
-    achieved epsilon, is at most epsilon. With ``epsilon=None`` no budget is
-    requested: the achieved epsilon stands in for it and the check passes.
+    Equivalently the release passes when the achieved epsilon, the
+    sensitivity 2|F|/n over sigma = delta/ln(|F|/gamma), is at most epsilon.
+    With ``epsilon=None`` no budget is requested: the achieved epsilon stands
+    in for it and the check passes.
     """
     if epsilon is not None and not (epsilon > 0 and math.isfinite(epsilon)):
         raise ValueError("epsilon must be positive and finite")
-    sigma = sigma_for(delta_target, family_size, gamma)
-    sensitivity = sensitivity_bound(family_size, n)
+    if not (delta_target > 0 and math.isfinite(delta_target)):
+        raise ValueError("delta_target must be positive and finite")
+    if family_size < 1:
+        raise ValueError("family size must be >= 1")
+    if not 0 < gamma < 1:
+        raise ValueError("gamma must lie in (0, 1)")
+    if n < 1:
+        raise ValueError("dataset size must be >= 1")
+    # |F| >= 1 and gamma < 1 put |F|/gamma above 1, so sigma is positive.
+    sigma = delta_target / math.log(family_size / gamma)
+    sensitivity = 2.0 * family_size / n
     try:
         achieved = sensitivity / sigma
         budget = achieved if epsilon is None else epsilon

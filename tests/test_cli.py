@@ -13,7 +13,7 @@ def data_file(tmp_path):
     rng = np.random.default_rng(123)
     data = Dataset((2,) * 5, rng.integers(0, 2, size=(300, 5)))
     path = tmp_path / "data.txt"
-    path.write_text(data.to_text())
+    path.write_bytes(data.to_text())
     return path
 
 
@@ -49,7 +49,7 @@ class TestGenerateCommand:
     def test_end_to_end(self, data_file, tmp_path):
         code, out, report = run_generate(data_file, tmp_path)
         assert code == EXIT_OK
-        synthetic = Dataset.from_text(out.read_text())
+        synthetic = Dataset.from_text(out.read_bytes())
         assert synthetic.schema == (2,) * 5
         assert len(synthetic) == 120
         text = report.read_text()
@@ -91,7 +91,7 @@ class TestGenerateCommand:
         )
         assert code == EXIT_OK
         assert "privacy_passed = false" in report.read_text()
-        assert len(Dataset.from_text(out.read_text())) == 120
+        assert len(Dataset.from_text(out.read_bytes())) == 120
 
     def test_missing_required_flag(self, tmp_path, capsys):
         code = main(["generate", "--queries", "marginals monotone d=1"])
@@ -116,8 +116,7 @@ class TestGenerateCommand:
         code, out, _ = run_generate(data, tmp_path)
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "can't decode byte 0xff" in err
+        assert err == "error: line 3: expected comma-separated category indices\n"
         assert not out.exists()
 
     def test_crlf_data_file_is_accepted(self, data_file, tmp_path):
@@ -125,7 +124,7 @@ class TestGenerateCommand:
         crlf.write_bytes(data_file.read_bytes().replace(b"\n", b"\r\n"))
         code, out, _ = run_generate(crlf, tmp_path)
         assert code == EXIT_OK
-        assert len(Dataset.from_text(out.read_text())) == 120
+        assert len(Dataset.from_text(out.read_bytes())) == 120
 
     def test_bad_query_spec(self, data_file, tmp_path, capsys):
         out = tmp_path / "o.txt"

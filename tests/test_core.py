@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dpsynth import (
     build_lp,
     evaluate_all,
 )
+import schema_oracle
 from dpsynth import core
 from dpsynth.core import (
     _TEXT_BLOCK,
@@ -31,7 +33,7 @@ def reference_to_text(data):
     """The per-cell rendering that the block codec replaced, kept as its oracle."""
     lines = [",".join(str(a) for a in data.schema)]
     lines.extend(",".join(str(v) for v in row) for row in data.rows)
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode()
 
 
 @st.composite
@@ -40,6 +42,26 @@ def datasets(draw):
     n = draw(st.integers(0, 50))
     rows = [[draw(st.integers(0, a - 1)) for a in schema] for _ in range(n)]
     return Dataset(schema, rows)
+
+
+@st.composite
+def schemas_and_families(draw):
+    """A schema and a family of constant, monotone and assignment functions
+    whose coordinates and values may fall outside it."""
+    schema = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    coords = st.lists(st.integers(0, len(schema)), min_size=1, max_size=3, unique=True)
+    functions = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["constant", "monotone", "assignment"]))
+        if kind == "constant":
+            functions.append(TestFunction.constant_one())
+        elif kind == "monotone":
+            functions.append(TestFunction.monotone(draw(coords)))
+        else:
+            cs = draw(coords)
+            values = draw(st.lists(st.integers(0, 4), min_size=len(cs), max_size=len(cs)))
+            functions.append(TestFunction.assignment(cs, values))
+    return tuple(schema), functions
 
 
 @st.composite
@@ -95,7 +117,11 @@ class TestDataset:
         with pytest.raises(ValueError, match="within the schema"):
             Dataset((2, 2), [[-1, 0]])
 
-    @pytest.mark.parametrize("cell", [0.7, 2.9, -0.5, math.nan, math.inf])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "cell",
+        [0.7, 2.9, -0.5, math.nan, math.inf, Fraction(5, 2), Fraction(1, 2), 1 + 2j, "2", "x"],
+    )
     def test_cells_that_are_not_whole_numbers_rejected(self, cell):
         with pytest.raises(ValueError, match="whole numbers"):
             Dataset((3,), [[cell]])
@@ -106,6 +132,11 @@ class TestDataset:
         for rows in ([[2, 0]], [[2.0, 0.0]], np.array([[2, 0]], dtype=np.uint8),
                      np.array([[2.0, -0.0]], dtype=np.float32), [[True, False]]):
             assert Dataset((3, 2), rows).rows.tolist() == [[int(rows[0][0]), 0]]
+
+    def test_whole_cells_of_other_dtypes_accepted(self):
+        for rows in ([[Fraction(2), Fraction(0)]], np.array([[2 + 0j, 0]]),
+                     np.array([[2, 0]], dtype=object)):
+            assert Dataset((3, 2), rows).rows.tolist() == [[2, 0]]
 
     def test_rows_are_read_only(self, small_dataset):
         with pytest.raises(ValueError):
@@ -131,7 +162,7 @@ class TestDatasetText:
 
     def test_rendering(self):
         data = Dataset((2, 3), [[0, 2], [1, 0]])
-        assert data.to_text() == "2,3\n0,2\n1,0\n"
+        assert data.to_text() == b"2,3\n0,2\n1,0\n"
 
     def test_empty_dataset_round_trip(self):
         data = Dataset((4, 2), [])
@@ -139,45 +170,45 @@ class TestDatasetText:
 
     def test_header_errors(self):
         with pytest.raises(ValueError, match="line 1: expected comma-separated arities"):
-            Dataset.from_text("")
+            Dataset.from_text(b"")
         with pytest.raises(ValueError, match="line 1: expected comma-separated arities"):
-            Dataset.from_text("two,2\n")
+            Dataset.from_text(b"two,2\n")
 
     def test_row_errors_carry_line_numbers(self):
         with pytest.raises(ValueError, match="line 3: expected comma-separated"):
-            Dataset.from_text("2,2\n0,0\n0,x\n")
+            Dataset.from_text(b"2,2\n0,0\n0,x\n")
 
     def test_trailing_blank_lines_accepted(self):
-        assert Dataset.from_text("2,2\n0,1\n\n") == Dataset((2, 2), [[0, 1]])
+        assert Dataset.from_text(b"2,2\n0,1\n\n") == Dataset((2, 2), [[0, 1]])
 
     def test_inner_blank_line_rejected(self):
         with pytest.raises(ValueError, match="line 2: expected comma-separated"):
-            Dataset.from_text("2,2\n\n0,1\n")
+            Dataset.from_text(b"2,2\n\n0,1\n")
 
     def test_out_of_range_rows_rejected(self):
         with pytest.raises(ValueError, match="invalid dataset"):
-            Dataset.from_text("2,2\n0,5\n")
+            Dataset.from_text(b"2,2\n0,5\n")
 
     def test_out_of_range_error_names_line_and_coordinate(self):
         with pytest.raises(
             ValueError,
             match="^invalid dataset: line 3, coordinate 2: value 5 is not below its arity 2$",
         ):
-            Dataset.from_text("2,2\n0,1\n0,5\n1,1\n")
+            Dataset.from_text(b"2,2\n0,1\n0,5\n1,1\n")
 
     def test_ragged_row_error_names_line(self):
         with pytest.raises(
             ValueError, match="^line 3: expected 2 comma-separated category indices, found 1$"
         ):
-            Dataset.from_text("2,2\n0,1\n0\n")
+            Dataset.from_text(b"2,2\n0,1\n0\n")
         with pytest.raises(ValueError, match="^line 2: expected 2 .*, found 3$"):
-            Dataset.from_text("2,2\n0,1,1\n")
+            Dataset.from_text(b"2,2\n0,1,1\n")
 
     def test_first_bad_line_wins(self):
         with pytest.raises(ValueError, match="invalid dataset: line 2,"):
-            Dataset.from_text("2,2\n0,5\n0,x\n")
+            Dataset.from_text(b"2,2\n0,5\n0,x\n")
         with pytest.raises(ValueError, match="^line 3: expected comma-separated"):
-            Dataset.from_text("2,2\n0,1\n0,x\n0,5\n")
+            Dataset.from_text(b"2,2\n0,1\n0,x\n0,5\n")
 
     @pytest.mark.parametrize(
         "row",
@@ -186,26 +217,26 @@ class TestDatasetText:
     )
     def test_cells_outside_the_grammar_rejected(self, row):
         with pytest.raises(ValueError, match="^line 3: expected comma-separated category"):
-            Dataset.from_text(f"2,20\n0,1\n{row}\n1,1\n")
+            Dataset.from_text(f"2,20\n0,1\n{row}\n1,1\n".encode())
 
     @pytest.mark.parametrize(
         "brk", ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
     )
     def test_only_lf_and_crlf_end_rows(self, brk):
         with pytest.raises(ValueError, match="^line 2: expected comma-separated category"):
-            Dataset.from_text(f"2,2\n0,1{brk}1,0\n")
+            Dataset.from_text(f"2,2\n0,1{brk}1,0\n".encode())
 
     def test_long_cells_parse_exactly(self):
-        data = Dataset.from_text("999999999999999999,1000\n300,999\n123456789012345678,0\n")
+        data = Dataset.from_text(b"999999999999999999,1000\n300,999\n123456789012345678,0\n")
         assert data.schema == (999999999999999999, 1000)
         assert data.rows.tolist() == [[300, 999], [123456789012345678, 0]]
         assert data.rows.dtype == np.int64 and not data.rows.flags.writeable
 
     def test_crlf_and_padding_parse_to_the_same_rows(self):
-        plain = Dataset.from_text("3,2\n0,1\n2,0\n1,1\n")
-        assert Dataset.from_text("3,2\r\n0,1\r\n2,0\r\n1,1\r\n\r\n") == plain
-        assert Dataset.from_text(" 3 ,\t2\n0 , 1\n\t2,0 \n 1\t,1\t\n \n") == plain
-        assert Dataset.from_text("3,2\r\n 0 ,1 \r\n2,\t0\r\n1 , 1\r\n") == plain
+        plain = Dataset.from_text(b"3,2\n0,1\n2,0\n1,1\n")
+        assert Dataset.from_text(b"3,2\r\n0,1\r\n2,0\r\n1,1\r\n\r\n") == plain
+        assert Dataset.from_text(b" 3 ,\t2\n0 , 1\n\t2,0 \n 1\t,1\t\n \n") == plain
+        assert Dataset.from_text(b"3,2\r\n 0 ,1 \r\n2,\t0\r\n1 , 1\r\n") == plain
 
     @settings(max_examples=150, deadline=None)
     @given(data=datasets())
@@ -219,12 +250,12 @@ class TestDatasetText:
         # Three-digit cells go through the cell scanner; single-digit ones
         # through the strided reader, which also leaves "9" to the range check.
         for arity, n, too_big in [
-            (1000, 3 * _TEXT_BLOCK // 14, "1000"),
-            (9, 3 * _TEXT_BLOCK // 7, "9"),
+            (1000, 3 * _TEXT_BLOCK // 14, b"1000"),
+            (9, 3 * _TEXT_BLOCK // 7, b"9"),
         ]:
             rows = rng.integers(0, arity, size=(n, 4))
             text = Dataset((arity,) * 4, rows).to_text()
-            body = text.index("\n") + 1
+            body = text.index(b"\n") + 1
             assert len(text) - body > 3 * _TEXT_BLOCK
             assert Dataset.from_text(text) == Dataset((arity,) * 4, rows)
             block_start = body
@@ -232,15 +263,15 @@ class TestDatasetText:
                 # The line holding the nominal boundary ends the block; the
                 # next line starts the following one.
                 boundary = block_start + _TEXT_BLOCK
-                line_start = text.rindex("\n", 0, boundary) + 1
-                block_start = text.index("\n", boundary) + 1
+                line_start = text.rindex(b"\n", 0, boundary) + 1
+                block_start = text.index(b"\n", boundary) + 1
                 for start in (line_start, block_start):
-                    lineno = text.count("\n", 0, start) + 1
-                    end = text.index("\n", start)
+                    lineno = text.count(b"\n", 0, start) + 1
+                    end = text.index(b"\n", start)
                     for bad, message in [
-                        ("1,2,x,4", f"^line {lineno}: expected comma-separated"),
-                        ("1,2,3", f"^line {lineno}: expected 4 .*, found 3$"),
-                        (f"1,2,3,{too_big}", f"^invalid dataset: line {lineno}, coordinate 4:"),
+                        (b"1,2,x,4", f"^line {lineno}: expected comma-separated"),
+                        (b"1,2,3", f"^line {lineno}: expected 4 .*, found 3$"),
+                        (b"1,2,3," + too_big, f"^invalid dataset: line {lineno}, coordinate 4:"),
                     ]:
                         with pytest.raises(ValueError, match=message):
                             Dataset.from_text(text[:start] + bad + text[end:])
@@ -257,16 +288,16 @@ class TestDatasetText:
             assert scanned is not None and grid.shape == scanned.shape
             assert (grid.astype(np.int64) == scanned).all()
 
-    @pytest.mark.parametrize("late", ["2,13,0\n", "1,0,1\r\n"])
+    @pytest.mark.parametrize("late", [b"2,13,0\n", b"1,0,1\r\n"])
     def test_one_digit_block_then_a_scanned_block(self, late, monkeypatch):
         rows = np.random.default_rng(6).integers(0, 2, size=(_TEXT_BLOCK // 3, 3))
         lines = Dataset((3, 20, 2), rows).to_text().splitlines(keepends=True)
         lines[-100] = late  # inside the second block
-        text = "".join(lines)
+        text = b"".join(lines)
         fast = Dataset.from_text(text)
         monkeypatch.setattr(core, "_read_grid", lambda buf, p: None)
         assert fast == Dataset.from_text(text)
-        assert fast.rows[-100].tolist() == [int(v) for v in late.split(",")]
+        assert fast.rows[-100].tolist() == [int(v) for v in late.split(b",")]
 
 
 # The row dtype of a Dataset whose largest arity is the key: the narrowest
@@ -308,7 +339,7 @@ class TestRowDtype:
                 Dataset((2, arity), [[0, 0], [1, bad]])
         message = f"^invalid dataset: line 3, coordinate 2: value {arity} is not below its arity"
         with pytest.raises(ValueError, match=message):
-            Dataset.from_text(f"2,{arity}\n0,0\n1,{arity}\n")
+            Dataset.from_text(f"2,{arity}\n0,0\n1,{arity}\n".encode())
 
     def test_adopted_rows_are_narrow_and_read_only(self):
         schema = (2, 3, 300)
@@ -396,21 +427,21 @@ class TestTestFunction:
             TestFunction.assignment((0,), (-1,))
 
     def test_check_schema_monotone_needs_boolean(self):
-        f = TestFunction.monotone((1,))
+        family = QueryFamily([TestFunction.monotone((1,))])
         with pytest.raises(ValueError, match="Boolean coordinates"):
-            f.check_schema((2, 3))
-        f.check_schema((2, 2))
+            family.check_schema((2, 3))
+        family.check_schema((2, 2))
 
     def test_check_schema_coordinate_range(self):
-        f = TestFunction.monotone((5,))
+        family = QueryFamily([TestFunction.monotone((5,))])
         with pytest.raises(ValueError, match="coordinate index out of range"):
-            f.check_schema((2, 2))
+            family.check_schema((2, 2))
 
     def test_check_schema_assignment_value_range(self):
-        f = TestFunction.assignment((1,), (3,))
+        family = QueryFamily([TestFunction.assignment((1,), (3,))])
         with pytest.raises(ValueError, match="out of range for coordinate 2"):
-            f.check_schema((2, 3))
-        f.check_schema((2, 4))
+            family.check_schema((2, 3))
+        family.check_schema((2, 4))
 
     def test_equality_and_hash(self):
         funcs = {
@@ -452,6 +483,53 @@ class TestQueryFamily:
     def test_check_schema_delegates(self, small_family):
         with pytest.raises(ValueError, match="Boolean coordinates"):
             small_family.check_schema((2, 3, 2))
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=schemas_and_families())
+    def test_check_schema_matches_the_per_function_oracle(self, case):
+        schema, functions = case
+        try:
+            schema_oracle.check_schema(functions, schema)
+            expected = None
+        except ValueError as exc:
+            expected = str(exc)
+        try:
+            QueryFamily(functions).check_schema(schema)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert (got is None) == (expected is None)
+        failing = 0
+        for f in functions:
+            try:
+                schema_oracle.check_schema([f], schema)
+            except ValueError:
+                failing += 1
+        if failing <= 1:
+            assert got == expected
+
+    def test_check_schema_names_failures_in_family_order(self):
+        # Each check runs over the whole family before the next one, so when
+        # several functions fail the message can name another failure than
+        # the per-function oracle, which stops at the first failing function.
+        functions = [
+            TestFunction.assignment((0,), (2,)),
+            TestFunction.monotone((1,)),
+            TestFunction.assignment((1, 2), (0, 3)),
+            TestFunction.assignment((0, 2), (1, 5)),
+        ]
+        family = QueryFamily(functions)
+        for schema, message, oracle_message in [
+            ((3, 3), "coordinate index out of range", "monotone marginals need Boolean"),
+            ((2, 3, 3), "monotone marginals need Boolean", "value 2 out of range for coordinate 1"),
+            ((2, 2, 3), "value 2 out of range for coordinate 1", None),
+            ((3, 2, 3), "value 3 out of range for coordinate 3", None),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                family.check_schema(schema)
+            with pytest.raises(ValueError, match=oracle_message or message):
+                schema_oracle.check_schema(functions, schema)
+        family.check_schema((3, 2, 6))
 
 
 class TestFiniteDensity:

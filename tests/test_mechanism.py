@@ -14,8 +14,6 @@ from dpsynth import (
     laplace_vector,
     marginal_family,
     privacy_check,
-    sensitivity_bound,
-    sigma_for,
 )
 
 
@@ -63,43 +61,53 @@ class TestLaplaceSampling:
         assert np.isfinite(draws).all()
 
 
+# The ledger's sensitivity 2|F|/n and noise scale delta/ln(|F|/gamma), each
+# read from a privacy_check whose other arguments are valid.
+def ledger_sensitivity(family_size, n):
+    return privacy_check(n, None, 0.1, family_size, 0.01).sensitivity
+
+
+def ledger_sigma(delta_target, family_size, gamma):
+    return privacy_check(1, None, delta_target, family_size, gamma).sigma
+
+
 class TestSensitivity:
     def test_values(self):
-        assert sensitivity_bound(56, 10_000) == pytest.approx(0.0112, rel=1e-15)
-        assert sensitivity_bound(1, 2) == 1.0
+        assert ledger_sensitivity(56, 10_000) == pytest.approx(0.0112, rel=1e-15)
+        assert ledger_sensitivity(1, 2) == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="family size"):
-            sensitivity_bound(0, 10)
+            ledger_sensitivity(0, 10)
         with pytest.raises(ValueError, match="dataset size"):
-            sensitivity_bound(3, 0)
+            ledger_sensitivity(3, 0)
 
 
 class TestSigmaFor:
     def test_frozen_values(self):
         # delta / ln(|F|/gamma), evaluated independently
-        assert sigma_for(0.1, 56, 0.01) == pytest.approx(
+        assert ledger_sigma(0.1, 56, 0.01) == pytest.approx(
             0.011586784835075014, rel=1e-12
         )
-        assert sigma_for(0.2, 17, 0.1) == pytest.approx(
+        assert ledger_sigma(0.2, 17, 0.1) == pytest.approx(
             0.03894233826568741, rel=1e-12
         )
 
     def test_monotone_in_delta(self):
-        assert sigma_for(0.2, 10, 0.1) == 2 * sigma_for(0.1, 10, 0.1)
+        assert ledger_sigma(0.2, 10, 0.1) == 2 * ledger_sigma(0.1, 10, 0.1)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="delta_target must be positive"):
-            sigma_for(0.0, 10, 0.1)
+            ledger_sigma(0.0, 10, 0.1)
         with pytest.raises(ValueError, match="family size"):
-            sigma_for(0.1, 0, 0.1)
+            ledger_sigma(0.1, 0, 0.1)
         with pytest.raises(ValueError, match="gamma must lie"):
-            sigma_for(0.1, 10, 1.0)
+            ledger_sigma(0.1, 10, 1.0)
         for delta in (math.nan, math.inf):
             with pytest.raises(ValueError, match="delta_target must be positive and finite"):
-                sigma_for(delta, 10, 0.1)
+                ledger_sigma(delta, 10, 0.1)
         with pytest.raises(ValueError, match="gamma must lie"):
-            sigma_for(0.1, 10, math.nan)
+            ledger_sigma(0.1, 10, math.nan)
 
 
 class TestPrivacyCheck:
@@ -137,7 +145,7 @@ class TestPrivacyCheck:
         assert free.passed
         assert free.sigma == check.sigma
         assert free.epsilon == free.epsilon_achieved
-        assert free.epsilon_achieved == sensitivity_bound(56, 10_000) / free.sigma
+        assert free.epsilon_achieved == 2.0 * 56 / 10_000 / free.sigma
         # the required_n expression in its original operation order, with
         # the achieved budget standing in for a requested one
         assert free.required_n == (
@@ -164,7 +172,7 @@ class TestPrivacyCheck:
     def test_requested_epsilon_beside_the_achieved_one(self):
         check = privacy_check(10_000, 1.0, 0.1, 56, 0.01)
         assert check.epsilon == 1.0
-        assert check.epsilon_achieved == sensitivity_bound(56, 10_000) / check.sigma
+        assert check.epsilon_achieved == 2.0 * 56 / 10_000 / check.sigma
         assert check.epsilon_achieved < 1.0
 
     @given(
@@ -180,7 +188,9 @@ class TestPrivacyCheck:
         # sensitivity/sigma staying at or below epsilon
         check = privacy_check(n, epsilon, delta, family_size, gamma)
         assume(abs(n - check.required_n) > 1e-6 * max(1.0, check.required_n))
-        ratio_ok = sensitivity_bound(family_size, n) / sigma_for(delta, family_size, gamma) <= epsilon
+        sensitivity = 2.0 * family_size / n
+        sigma = delta / math.log(family_size / gamma)
+        ratio_ok = sensitivity / sigma <= epsilon
         assert check.passed == ratio_ok
 
 

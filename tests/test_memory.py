@@ -39,9 +39,9 @@ def traced_peak(fn) -> float:
 def test_from_text_peak_stays_below_one_int64_copy_of_the_rows():
     text = Dataset((2,) * P, np.random.default_rng(1).integers(0, 2, (N, P))).to_text()
     peak = traced_peak(lambda: Dataset.from_text(text))
-    # Measured 8.6 MB: 6.4 MB of uint8 rows, then one ~1 MB block of text
-    # as bytes (and as a str slice while it is encoded) with about 1 MB of
-    # strided-reader temporaries; an int64 (n, p) array alone is 51.2 MB.
+    # Measured 8.6 MB: 6.4 MB of uint8 rows, then one ~1 MB slice of the
+    # text with about 1 MB of strided-reader temporaries; an int64 (n, p)
+    # array alone is 51.2 MB.
     assert peak < 11 * MB
 
 

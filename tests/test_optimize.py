@@ -11,7 +11,7 @@ from dpsynth import (
     evaluate_all,
     laplace_vector,
     marginal_family,
-    sigma_for,
+    privacy_check,
     solve_min_max,
 )
 from dpsynth.optimize import REFACTOR_INTERVAL
@@ -208,9 +208,8 @@ def pipeline_sized_problem(seed, p=16, d=2, n=1000, m=8000):
     family = marginal_family(p, d, "monotone")
     schema = (2,) * p
     data = Dataset(schema, rng.integers(0, 2, size=(n, p)))
-    targets = evaluate_all(family, data) + laplace_vector(
-        sigma_for(0.2, len(family), 0.1), len(family), rng
-    )
+    sigma = privacy_check(n, None, 0.2, len(family), 0.1).sigma
+    targets = evaluate_all(family, data) + laplace_vector(sigma, len(family), rng)
     domain = ProductDistribution.uniform(schema).sample(m, rng)
     return build_lp(family, domain, targets)
 
