@@ -23,7 +23,6 @@ from .distributions import (
     ExplicitDistribution,
     ProductDistribution,
     exact_statistics,
-    kappa_uniform,
     parse_distribution_spec,
     renyi_condition_number_exact,
     renyi_condition_number_mc,
@@ -70,7 +69,6 @@ __all__ = [
     "evaluate_all",
     "exact_statistics",
     "generate",
-    "kappa_uniform",
     "laplace_vector",
     "marginal_family",
     "parse_distribution_spec",

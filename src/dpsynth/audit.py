@@ -19,9 +19,9 @@ from .distributions import (
     exact_statistics,
     renyi_condition_number_exact,
 )
-from .mechanism import laplace_vector
+from .mechanism import _accuracy_thresholds, laplace_vector
 from .queries import marginal_family
-from .synth import PipelineConfig, _accuracy_thresholds, _render, generate
+from .synth import PipelineConfig, _render, generate
 
 DEFAULT_AUDIT_SLACK = 0.15
 # A histogram cell with a zero count on one side is only treated as evidence

@@ -313,18 +313,6 @@ def _first_occurrences(rows: np.ndarray) -> np.ndarray:
     return np.sort(order[first])
 
 
-def _encode_rows(rows: np.ndarray, schema: Sequence[int]) -> np.ndarray:
-    """Mixed-radix encoding of rows into flat table indices.
-
-    Horner's rule in an int64 accumulator, which widens each narrow column as
-    it is added, so no product is taken in the rows' own dtype."""
-    codes = np.zeros(rows.shape[0], dtype=np.int64)
-    for c, a in enumerate(schema):
-        codes *= a
-        codes += rows[:, c]
-    return codes
-
-
 class TestFunction:
     """A conjunction query: the indicator that each coordinate in ``coords``
     takes its ``assigned`` value.

@@ -17,10 +17,11 @@ from .core import (
     Dataset,
     QueryFamily,
     _check_masses,
+    _check_schema,
     _domain_size,
-    _encode_rows,
     _first_occurrences,
     _row_dtype,
+    _row_groups,
 )
 
 # Cap for enumerating a full product domain into an explicit distribution.
@@ -52,7 +53,7 @@ class ProductDistribution:
 
     @classmethod
     def uniform(cls, schema: Sequence[int]) -> "ProductDistribution":
-        return cls([np.full(int(a), 1.0 / int(a)) for a in schema])
+        return cls([np.full(a, 1.0 / a) for a in _check_schema(schema)])
 
     @property
     def coordinate_probabilities(self) -> tuple[np.ndarray, ...]:
@@ -102,11 +103,6 @@ class ExplicitDistribution:
             raise ValueError("points must be distinct")
         self._points = points
         self._masses = m
-        # Sorted mixed-radix codes for vectorized mass lookup.
-        codes = _encode_rows(points.rows, points.schema)
-        order = np.argsort(codes)
-        self._codes_sorted = codes[order]
-        self._masses_sorted = m[order]
 
     @property
     def points(self) -> Dataset:
@@ -121,11 +117,18 @@ class ExplicitDistribution:
         return self._points.schema
 
     def mass_many(self, rows: np.ndarray) -> np.ndarray:
-        codes = _encode_rows(rows, self.schema)
-        pos = np.searchsorted(self._codes_sorted, codes)
-        pos_clipped = np.minimum(pos, len(self._codes_sorted) - 1)
-        hit = self._codes_sorted[pos_clipped] == codes
-        return np.where(hit, self._masses_sorted[pos_clipped], 0.0)
+        """The mass of each row: its point's mass, or 0 when no point equals it."""
+        points = len(self._points)
+        # Group the points and the rows together; the points are distinct, so
+        # a group holds at most one of them, and its rows take that point's mass.
+        order, first = _row_groups(np.concatenate([self._points.rows, rows]))
+        group = np.cumsum(first) - 1
+        is_point = order < points
+        group_mass = np.zeros(group[-1] + 1)
+        group_mass[group[is_point]] = self._masses[order[is_point]]
+        out = np.empty(rows.shape[0])
+        out[order[~is_point] - points] = group_mass[group[~is_point]]
+        return out
 
     def sample(self, count: int, rng) -> Dataset:
         if count < 1:
@@ -192,18 +195,6 @@ def renyi_condition_number_mc(population, sampling, samples: int, rng) -> float:
     return math.fsum(p_mass / q_mass) / samples
 
 
-def kappa_uniform(masses, domain_size: int) -> float:
-    """kappa against the uniform distribution: |Omega| * sum of squared masses."""
-    if domain_size < 1:
-        raise ValueError("domain size must be >= 1")
-    if isinstance(masses, ExplicitDistribution):
-        masses = masses.masses
-    m = _check_masses(np.array(masses, dtype=float), "masses")
-    if len(m) > domain_size:
-        raise ValueError("more mass points than domain elements")
-    return domain_size * math.fsum(m * m)
-
-
 def exact_statistics(dist, queries: QueryFamily) -> np.ndarray:
     """Exact expectation of every family function under the distribution."""
     if not isinstance(dist, (ExplicitDistribution, ProductDistribution)):
@@ -252,6 +243,10 @@ def parse_distribution_spec(text: str):
         schema = [int(t) for t in tokens[1].split(",")]
     except ValueError:
         raise ValueError(f"line {first_no}: arities must be comma-separated integers") from None
+    try:
+        schema = _check_schema(schema)
+    except ValueError as exc:
+        raise ValueError(f"line {first_no}: {exc}") from None
     if kind == "uniform":
         if len(body) > 1:
             raise ValueError(f"line {body[1][0]}: 'uniform' takes no further lines")

@@ -43,9 +43,38 @@ def laplace_vector(sigma: float, size, rng) -> np.ndarray:
     return _laplace_from_uniform(sigma, u)
 
 
+def _accuracy_thresholds(
+    family_size: int, delta: float, gamma: float, kappa: float = 1.0
+) -> tuple[float, float]:
+    """The sizes the accuracy analysis needs: ln(|F|/gamma)/delta^2 for n and k
+    (and the plain sampling audit), kappa*|F|/(gamma*delta^2) for m.
+
+    The one check of delta and gamma. kappa is not checked: an audit's
+    computed condition number can round just below 1.
+    """
+    # Written so that NaN fails each comparison.
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValueError("delta_target must be positive and finite")
+    if not 0 < gamma < 1:
+        raise ValueError("gamma must lie in (0, 1)")
+    try:
+        delta_sq = delta**2
+    except OverflowError:
+        raise ValueError(f"delta = {delta:.9g} is too large: delta^2 overflows") from None
+    if delta_sq == 0.0:
+        raise ValueError(f"delta = {delta:.9g} is too small: delta^2 underflows to 0")
+    try:
+        return math.log(family_size / gamma) / delta_sq, kappa * family_size / (gamma * delta_sq)
+    except ZeroDivisionError:
+        raise ValueError(
+            f"gamma = {gamma:.9g} is too small: gamma * delta^2 underflows to 0"
+        ) from None
+
+
 @dataclass(frozen=True)
 class PrivacyCheck:
-    """The privacy ledger of one release: noise scale, budget and the size gate."""
+    """The ledger of one release: noise scale, budget, the size gate and the
+    sizes the accuracy analysis needs."""
 
     passed: bool
     required_n: float
@@ -53,29 +82,34 @@ class PrivacyCheck:
     sigma: float
     sensitivity: float
     epsilon_achieved: float
+    threshold_n_k: float
+    threshold_m: float
 
 
 def privacy_check(
-    n: int, epsilon: float | None, delta_target: float, family_size: int, gamma: float
+    n: int, epsilon: float | None, delta_target: float, family_size: int, gamma: float,
+    kappa: float = 1.0,
 ) -> PrivacyCheck:
     """Gate: n must reach 2/(epsilon*delta) * |F| * ln(|F|/gamma).
 
     Equivalently the release passes when the achieved epsilon, the
     sensitivity 2|F|/n over sigma = delta/ln(|F|/gamma), is at most epsilon.
     With ``epsilon=None`` no budget is requested: the achieved epsilon stands
-    in for it and the check passes.
+    in for it and the check passes. ``kappa`` bounds the condition number of
+    the population against the sampling distribution; it scales the reduced
+    domain size m the accuracy analysis needs.
     """
     if epsilon is not None and not (epsilon > 0 and math.isfinite(epsilon)):
         raise ValueError("epsilon must be positive and finite")
-    if not (delta_target > 0 and math.isfinite(delta_target)):
-        raise ValueError("delta_target must be positive and finite")
     if family_size < 1:
         raise ValueError("family size must be >= 1")
-    if not 0 < gamma < 1:
-        raise ValueError("gamma must lie in (0, 1)")
     if n < 1:
         raise ValueError("dataset size must be >= 1")
-    # |F| >= 1 and gamma < 1 put |F|/gamma above 1, so sigma is positive.
+    if not (kappa >= 1.0 and math.isfinite(kappa)):
+        raise ValueError("kappa_bound must be >= 1 and finite")
+    threshold_n_k, threshold_m = _accuracy_thresholds(family_size, delta_target, gamma, kappa)
+    # |F| >= 1 and gamma < 1 put |F|/gamma above 1, so sigma is positive
+    # unless |F|/gamma overflows.
     sigma = delta_target / math.log(family_size / gamma)
     sensitivity = 2.0 * family_size / n
     try:
@@ -83,7 +117,7 @@ def privacy_check(
         budget = achieved if epsilon is None else epsilon
         required_n = 2.0 * family_size * math.log(family_size / gamma) / (budget * delta_target)
     except ZeroDivisionError:
-        raise ValueError("delta_target and epsilon are too small: the noise scale or "
+        raise ValueError("epsilon, delta_target or gamma is too small: the noise scale or "
                          "epsilon * delta_target underflows to 0") from None
     return PrivacyCheck(
         passed=epsilon is None or n >= required_n,
@@ -92,5 +126,6 @@ def privacy_check(
         sigma=sigma,
         sensitivity=sensitivity,
         epsilon_achieved=achieved,
+        threshold_n_k=threshold_n_k,
+        threshold_m=threshold_m,
     )
-

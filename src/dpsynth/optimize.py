@@ -95,11 +95,7 @@ def _columns(a: np.ndarray, idx) -> np.ndarray:
     return cols
 
 
-def solve_min_max(
-    problem: FitProblem,
-    tolerance: float = OPTIMALITY_GAP,
-    max_iterations: int | None = None,
-) -> FitSolution:
+def solve_min_max(problem: FitProblem, max_iterations: int | None = None) -> FitSolution:
     """Global minimizer of the worst absolute residual over densities.
 
     Deterministic: identical problems give bit-identical solutions. Entering
@@ -180,9 +176,9 @@ def solve_min_max(
     # Residual certificate against the original data; every simplex iterate is
     # feasible, so this only catches accumulated numerical drift.
     worst = float(np.max(np.abs(a @ weights - b)))
-    if worst > objective + tolerance:
+    if worst > objective + OPTIMALITY_GAP:
         raise RuntimeError(
-            f"residual certificate failed: {worst:.3e} > {objective:.3e} + {tolerance:.1e}"
+            f"residual certificate failed: {worst:.3e} > {objective:.3e} + {OPTIMALITY_GAP:.1e}"
         )
     return FitSolution(
         density=FiniteDensity(problem.support, weights),

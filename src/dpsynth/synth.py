@@ -8,7 +8,6 @@ records from the fit. Everything after the noise step is post-processing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -47,37 +46,12 @@ class PipelineConfig:
     export_noisy_targets: bool = False
 
     def __post_init__(self):
-        # Written so that NaN fails each comparison.
-        if not (self.delta_target > 0 and math.isfinite(self.delta_target)):
-            raise ValueError("delta_target must be positive and finite")
-        if not 0 < self.gamma < 1:
-            raise ValueError("gamma must lie in (0, 1)")
+        # delta, gamma, epsilon and kappa_bound are the ledger's to check:
+        # generate builds it before it reads the data.
         if self.synthetic_size < 1:
             raise ValueError("synthetic_size must be >= 1")
         if self.reduced_size < 1:
             raise ValueError("reduced_size must be >= 1")
-        if not (self.kappa_bound >= 1.0 and math.isfinite(self.kappa_bound)):
-            raise ValueError("kappa_bound must be >= 1 and finite")
-        if self.epsilon is not None and not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError("epsilon must be positive and finite when given")
-
-
-def _accuracy_thresholds(
-    family_size: int, delta: float, gamma: float, kappa: float = 1.0
-) -> tuple[float, float]:
-    """The sizes the accuracy analysis needs: ln(|F|/gamma)/delta^2 for n and k
-    (and the plain sampling audit), kappa*|F|/(gamma*delta^2) for m."""
-    if not (delta > 0 and math.isfinite(delta)):
-        raise ValueError("delta must be positive and finite")
-    if not 0 < gamma < 1:
-        raise ValueError("gamma must lie in (0, 1)")
-    try:
-        delta_sq = delta**2
-    except OverflowError:
-        raise ValueError(f"delta = {delta:.9g} is too large: delta^2 overflows") from None
-    if delta_sq == 0.0:
-        raise ValueError(f"delta = {delta:.9g} is too small: delta^2 underflows to 0")
-    return math.log(family_size / gamma) / delta_sq, kappa * family_size / (gamma * delta_sq)
 
 
 def bootstrap(density: FiniteDensity, count: int, rng) -> Dataset:
@@ -157,7 +131,8 @@ def generate(
 
     ``sampling`` is the distribution the reduced domain is drawn from; it must
     share the data schema. The sensitive rows are touched exactly once, to
-    compute the exact statistics that get perturbed.
+    compute the exact statistics that get perturbed. The privacy ledger is
+    built first; it checks delta_target, gamma, epsilon and kappa_bound.
     """
     if len(data) == 0:
         raise ValueError("empty dataset")
@@ -168,14 +143,13 @@ def generate(
     family_size = len(queries)
     n = len(data)
 
-    ledger = privacy_check(n, config.epsilon, config.delta_target, family_size, config.gamma)
+    ledger = privacy_check(
+        n, config.epsilon, config.delta_target, family_size, config.gamma, config.kappa_bound
+    )
     if not (ledger.passed or config.allow_privacy_failure):
         raise PrivacyGateError(
             f"epsilon = {config.epsilon:.9g} needs n >= {ledger.required_n:.9g}, got n = {n}"
         )
-    thr_nk, thr_m = _accuracy_thresholds(
-        family_size, config.delta_target, config.gamma, config.kappa_bound
-    )
 
     seed_root = np.random.SeedSequence(config.seed)
     noise_seq, domain_seq, boot_seq = seed_root.spawn(3)
@@ -197,15 +171,18 @@ def generate(
         sigma=ledger.sigma,
         epsilon_achieved=ledger.epsilon_achieved,
         lp_objective=solution.objective,
-        accuracy_threshold_n_k=thr_nk,
-        accuracy_threshold_m=thr_m,
+        accuracy_threshold_n_k=ledger.threshold_n_k,
+        accuracy_threshold_m=ledger.threshold_m,
         seed=config.seed,
         family_size=family_size,
         epsilon=ledger.epsilon,
         sensitivity=ledger.sensitivity,
         required_n=ledger.required_n,
         privacy_passed=ledger.passed,
-        accuracy_passed=min(n, config.synthetic_size) >= thr_nk and config.reduced_size >= thr_m,
+        accuracy_passed=(
+            min(n, config.synthetic_size) >= ledger.threshold_n_k
+            and config.reduced_size >= ledger.threshold_m
+        ),
         config_in_range=0 < config.delta_target <= 0.5 and 0 < config.gamma < 0.25,
         lp_status=solution.status,
         lp_iterations=solution.iterations,

@@ -24,7 +24,6 @@ from dpsynth import (
     boolean_experiment,
     deviation_check_empirical,
     generate,
-    kappa_uniform,
     laplace_vector,
     marginal_family,
     privacy_audit,
@@ -187,8 +186,8 @@ def test_criterion_6_condition_number():
     mc = renyi_condition_number_mc(
         population, sampling, 100_000, np.random.default_rng(61)
     )
-    # kappa_uniform must coincide with the exact value against uniform on a
-    # spread of explicit domains up to |domain| = 4096
+    # kappa against uniform, |domain| * sum of squared masses, must coincide
+    # with the exact value on a spread of explicit domains up to |domain| = 4096
     rng = np.random.default_rng(62)
     worst_identity = 0.0
     for schema in [(2,), (4, 4), (16, 16), (4, 4, 4, 4, 4, 4), (4096,), (64, 64)]:
@@ -201,7 +200,7 @@ def test_criterion_6_condition_number():
         uniform = ProductDistribution.uniform(schema)
         worst_identity = max(
             worst_identity,
-            abs(kappa_uniform(dist, size) - renyi_condition_number_exact(dist, uniform)),
+            abs(size * math.fsum(dist.masses**2) - renyi_condition_number_exact(dist, uniform)),
         )
     ok = (
         abs(exact - 1.25) <= 1e-12

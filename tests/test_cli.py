@@ -283,6 +283,14 @@ class TestKappaCommand:
         assert captured.out == ""
         assert captured.err == "error: distributions must share a schema\n"
 
+    @pytest.mark.parametrize("nu", ["uniform 0", "uniform -1", "uniform 2,0"])
+    def test_arities_below_one_are_one_error_line(self, nu, capsys):
+        code = main(["kappa", "--nu", nu, "--mu", "uniform 2"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == "error: line 1: coordinate arities must be >= 1\n"
+
     def test_domination_failure(self, capsys, tmp_path):
         nu = tmp_path / "nu.txt"
         nu.write_text("explicit 2\n0;0.5\n1;0.5\n")
@@ -338,9 +346,10 @@ NON_FINITE_BASE = {
         ("generate", ["--epsilon", "inf"], "epsilon must be positive and finite"),
         ("lemma3", ["--delta", "1e300"], "delta^2 overflows"),
         ("lemma3", ["--delta", "1e-200"], "delta^2 underflows to 0"),
-        ("lemma3", ["--delta", "nan"], "delta must be positive and finite"),
+        ("lemma3", ["--delta", "nan"], "delta_target must be positive and finite"),
         ("lemma3", ["--gamma", "nan"], "gamma must lie in (0, 1)"),
-        ("lemma4", ["--delta", "nan"], "delta must be positive and finite"),
+        ("lemma3", ["--gamma", "5e-324"], "gamma * delta^2 underflows to 0"),
+        ("lemma4", ["--delta", "nan"], "delta_target must be positive and finite"),
         ("dp", ["--sigma", "nan"], "sigma must be positive"),
         ("dp", ["--sigma", "inf"], "sigma must be positive and finite"),
         ("lemma3", ["--nu", "product\nnan,nan\nnan,nan\n"], "probabilities must be nonnegative"),
@@ -352,7 +361,7 @@ NON_FINITE_BASE = {
         "generate-ledger-underflow", "generate-kappa-inf",
         "generate-epsilon-inf", "lemma3-delta-overflow", "lemma3-delta-underflow",
         "lemma3-delta-nan",
-        "lemma3-gamma-nan", "lemma4-delta-nan", "dp-sigma-nan", "dp-sigma-inf",
+        "lemma3-gamma-nan", "lemma3-gamma-underflow", "lemma4-delta-nan", "dp-sigma-nan", "dp-sigma-inf",
         "lemma3-nan-probabilities", "kappa-nan-masses",
     ],
 )

@@ -23,7 +23,6 @@ from dpsynth import core
 from dpsynth.core import (
     _TEXT_BLOCK,
     _domain_size,
-    _encode_rows,
     _read_grid,
     _scan_block,
 )
@@ -368,12 +367,6 @@ class TestEncoding:
     def test_domain_size(self):
         assert _domain_size((2, 3, 4)) == 24
         assert _domain_size((7,)) == 7
-
-    def test_encode_rows_is_mixed_radix(self):
-        schema = (2, 3)
-        rows = np.array([[i, j] for i in range(2) for j in range(3)], dtype=np.int64)
-        codes = _encode_rows(rows, schema)
-        assert list(codes) == list(range(6))
 
 
 def values(f, rows):

@@ -11,7 +11,6 @@ from dpsynth import (
     QueryFamily,
     TestFunction,
     exact_statistics,
-    kappa_uniform,
     marginal_family,
     parse_distribution_spec,
     renyi_condition_number_exact,
@@ -51,6 +50,11 @@ class TestProductDistribution:
     def test_non_finite_probabilities_rejected(self, vector):
         with pytest.raises(ValueError, match="coordinate 2: probabilities must be nonnegative"):
             ProductDistribution([[0.5, 0.5], vector])
+
+    @pytest.mark.parametrize("schema", [(0,), (-1,), (2, 0)])
+    def test_uniform_rejects_arities_below_one(self, schema):
+        with pytest.raises(ValueError, match="^coordinate arities must be >= 1$"):
+            ProductDistribution.uniform(schema)
 
     def test_mass(self):
         dist = ProductDistribution([[0.3, 0.7], [0.6, 0.4]])
@@ -114,6 +118,19 @@ class TestExplicitDistribution:
         assert mass_at(dist, (1,)) == 0.0
         rows = np.array([[0], [1], [2]], dtype=np.int64)
         assert np.allclose(dist.mass_many(rows), [0.25, 0.0, 0.75], atol=0)
+
+    def test_mass_of_a_wide_row_off_support_is_zero(self):
+        # 65 Boolean coordinates: a row code would need 65 bits
+        dist = ExplicitDistribution(Dataset((2,) * 65, np.zeros((1, 65), dtype=np.int64)), [1.0])
+        rows = np.zeros((2, 65), dtype=np.int64)
+        rows[1, 0] = 1
+        assert dist.mass_many(rows).tolist() == [1.0, 0.0]
+
+    def test_out_of_range_row_matches_no_point(self):
+        # (0, 2) lies outside the schema (2, 2) but has the row-major index of (1, 0)
+        dist = ExplicitDistribution(Dataset((2, 2), [[0, 0], [1, 0]]), [0.25, 0.75])
+        rows = np.array([[0, 2], [1, 0], [0, 0], [1, 0]], dtype=np.int64)
+        assert dist.mass_many(rows).tolist() == [0.0, 0.75, 0.25, 0.75]
 
     def test_sample_stays_on_support(self):
         dist = ExplicitDistribution(Dataset((4,), [[1], [3]]), [0.5, 0.5])
@@ -226,27 +243,6 @@ class TestConditionNumber:
             renyi_condition_number_mc(population, sampling, 100, np.random.default_rng(1))
 
 
-class TestKappaUniform:
-    def test_matches_exact_form(self, skewed_pair):
-        population, _ = skewed_pair
-        assert kappa_uniform(population, 2) == pytest.approx(1.25, abs=1e-15)
-        assert kappa_uniform([0.75, 0.25], 2) == pytest.approx(1.25, abs=1e-15)
-
-    def test_uniform_masses_give_one(self):
-        assert kappa_uniform(np.full(8, 0.125), 8) == pytest.approx(1.0, abs=1e-15)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="domain size"):
-            kappa_uniform([1.0], 0)
-        with pytest.raises(ValueError, match="more mass points"):
-            kappa_uniform([0.5, 0.5], 1)
-
-    @pytest.mark.parametrize("masses", [[math.nan, 0.5], [-0.5, 1.5], [math.inf, 0.0]])
-    def test_masses_must_be_nonnegative_and_finite(self, masses):
-        with pytest.raises(ValueError, match="^masses must be nonnegative and finite$"):
-            kappa_uniform(masses, 4)
-
-
 class TestExactStatistics:
     def test_product_closed_forms(self):
         dist = ProductDistribution([[0.3, 0.7], [0.6, 0.4]])
@@ -311,6 +307,13 @@ class TestParseDistributionSpec:
         assert isinstance(dist, ExplicitDistribution)
         assert mass_at(dist, (1, 1)) == 0.75
         assert mass_at(dist, (0, 1)) == 0.0
+
+    @pytest.mark.parametrize(
+        "spec", ["uniform 0\n", "uniform -1\n", "uniform 2,0\n", "explicit 2,0\n0,0;1\n"]
+    )
+    def test_arities_below_one_name_the_header_line(self, spec):
+        with pytest.raises(ValueError, match="^line 1: coordinate arities must be >= 1$"):
+            parse_distribution_spec(spec)
 
     def test_comments(self):
         dist = parse_distribution_spec("# sampling\nuniform 4 # four values\n")

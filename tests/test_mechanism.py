@@ -118,6 +118,13 @@ class TestPrivacyCheck:
         assert check.passed
         assert not privacy_check(9_000, 1.0, 0.1, 56, 0.01).passed
 
+    def test_accuracy_thresholds(self):
+        # ln(|F|/gamma)/delta^2 and kappa*|F|/(gamma*delta^2), in these float operations
+        check = privacy_check(10_000, 1.0, 0.1, 56, 0.01, 1.5)
+        assert check.threshold_n_k == math.log(56 / 0.01) / 0.1**2
+        assert check.threshold_m == 1.5 * 56 / (0.01 * 0.1**2)
+        assert privacy_check(10_000, 1.0, 0.1, 56, 0.01).threshold_m == 56 / (0.01 * 0.1**2)
+
     def test_epsilon_validation(self):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             privacy_check(100, 0.0, 0.1, 10, 0.1)
@@ -132,6 +139,11 @@ class TestPrivacyCheck:
             ((10, None, 0.1, 56, math.nan), "gamma must lie in"),
             ((10, 1e-200, 1e-200, 56, 0.01), "underflows to 0"),
             ((10, None, 5e-324, 56, 0.01), "underflows to 0"),
+            ((10, None, 0.1, 56, 0.01, math.nan), "kappa_bound must be >= 1 and finite"),
+            ((10, None, 0.1, 56, 0.01, math.inf), "kappa_bound must be >= 1 and finite"),
+            ((10, None, 0.1, 56, 0.01, 0.5), "kappa_bound must be >= 1 and finite"),
+            ((10, None, 0.1, 56, 1e-310), "the noise scale or epsilon \\* delta_target underflows"),
+            ((10, None, 0.1, 56, 5e-324), "gamma \\* delta\\^2 underflows to 0"),
         ],
     )
     def test_non_finite_parameters_rejected(self, args, match):

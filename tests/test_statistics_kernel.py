@@ -21,7 +21,7 @@ from dpsynth import (
     exact_statistics,
     marginal_family,
 )
-from dpsynth.core import _STATS_BLOCK, _encode_rows
+from dpsynth.core import _STATS_BLOCK
 
 WEIGHTS = st.floats(0.0, 1.0)
 
@@ -153,8 +153,6 @@ def test_narrow_rows_match_the_reference_on_int64_rows(instance, data):
     assert np.array_equal(family.values_matrix(narrow), oracle.values_matrix(family, wide))
     raw = np.array(data.draw(st.lists(WEIGHTS, min_size=len(wide), max_size=len(wide))))
     assert np.array_equal(family.weighted_sums(narrow, raw), oracle.weighted_sums(family, wide, raw))
-    codes = [int(np.ravel_multi_index(tuple(row), schema)) for row in wide.tolist()]
-    assert _encode_rows(narrow, schema).tolist() == codes
     product = ProductDistribution([normalized(np.arange(1.0, a + 1)) for a in schema])
     assert np.array_equal(product.mass_many(narrow), product.mass_many(wide))
     distinct = np.unique(wide, axis=0)

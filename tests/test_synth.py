@@ -15,6 +15,7 @@ from dpsynth import (
     evaluate_all,
     generate,
     marginal_family,
+    privacy_check,
 )
 from dpsynth import optimize, synth
 
@@ -44,20 +45,33 @@ class CountingDataset(Dataset):
         return Dataset.rows.fget(self)
 
 
+def reject_before_reading(config, match):
+    """generate must reject the config with the message ``match`` before it
+    reads the data: evaluate_all, the one read, fails if it is called."""
+    data = Dataset((2,) * 4, [[0, 1, 0, 1]] * 20)
+
+    def no_read(*args):
+        raise AssertionError("the data was read")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(synth, "evaluate_all", no_read)
+        with pytest.raises(ValueError, match=match):
+            generate(data, marginal_family(4, 1, "monotone"),
+                     ProductDistribution.uniform((2,) * 4), config)
+
+
 class TestPipelineConfig:
     def test_validation(self):
-        with pytest.raises(ValueError, match="delta_target"):
-            base_config(delta_target=0.0)
-        with pytest.raises(ValueError, match="gamma"):
-            base_config(gamma=1.0)
+        # the sizes are checked where the config is built; every other
+        # parameter by the ledger that generate builds first
         with pytest.raises(ValueError, match="synthetic_size"):
             base_config(synthetic_size=0)
         with pytest.raises(ValueError, match="reduced_size"):
             base_config(reduced_size=0)
-        with pytest.raises(ValueError, match="kappa_bound"):
-            base_config(kappa_bound=0.5)
-        with pytest.raises(ValueError, match="epsilon"):
-            base_config(epsilon=-1.0)
+        reject_before_reading(base_config(delta_target=0.0), "delta_target")
+        reject_before_reading(base_config(gamma=1.0), "gamma")
+        reject_before_reading(base_config(kappa_bound=0.5), "kappa_bound")
+        reject_before_reading(base_config(epsilon=-1.0), "epsilon")
 
     @pytest.mark.parametrize(
         "field, value, match",
@@ -72,15 +86,11 @@ class TestPipelineConfig:
         ],
     )
     def test_non_finite_values_rejected(self, field, value, match):
-        with pytest.raises(ValueError, match=match):
-            base_config(**{field: value})
+        reject_before_reading(base_config(**{field: value}), match)
 
     def test_delta_whose_square_overflows_is_a_value_error(self):
-        data = Dataset((2,) * 4, [[0, 1, 0, 1]] * 20)
         config = base_config(delta_target=1e300, reduced_size=10)
-        with pytest.raises(ValueError, match="delta\\^2 overflows"):
-            generate(data, marginal_family(4, 1, "monotone"),
-                     ProductDistribution.uniform((2,) * 4), config)
+        reject_before_reading(config, "delta\\^2 overflows")
 
 
 def release_report(n, p, d, **overrides):
@@ -114,6 +124,19 @@ class TestValidateParams:
         assert report.accuracy_passed
         assert report.config_in_range
         assert report.privacy_passed  # no epsilon requested
+
+    def test_thresholds_come_from_the_ledger(self):
+        report = release_report(150, 16, 1, kappa_bound=2.0)
+        ledger = privacy_check(150, None, 0.2, 17, 0.1, 2.0)
+        # the float expressions the report has always used
+        assert ledger.threshold_n_k == math.log(17 / 0.1) / 0.2**2
+        assert ledger.threshold_m == 2.0 * 17 / (0.1 * 0.2**2)
+        lines = report.to_text().splitlines()
+        assert f"accuracy_threshold_n_k = {ledger.threshold_n_k:.9g}" in lines
+        assert f"accuracy_threshold_m = {ledger.threshold_m:.9g}" in lines
+        assert report.accuracy_threshold_n_k == ledger.threshold_n_k
+        assert report.accuracy_threshold_m == ledger.threshold_m
+        assert not report.accuracy_passed  # m = 4250 < 8500
 
     def test_accuracy_flags(self):
         assert not release_report(150, 16, 1, reduced_size=4249).accuracy_passed
