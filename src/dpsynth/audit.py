@@ -1,8 +1,8 @@
 """Statistical audits: deviation checks, an empirical privacy probe, and the
 end-to-end Boolean experiment.
 
-Each check replays one guarantee of the pipeline with fresh randomness and
-compares the observed failure rate against its stated bound plus three
+Each check replays one guarantee of the pipeline with fresh randomness and compares the
+observed failure rate against its stated bound plus 3*sqrt(bound/trials), at least three
 binomial standard errors, so a healthy implementation passes with margin.
 """
 
@@ -38,7 +38,7 @@ class _AuditResult:
 
 
 def _binomial_gate(rate: float, trials: int) -> float:
-    """A failure rate plus three binomial standard errors over the trials."""
+    """rate + 3*sqrt(rate/trials), at least rate plus three binomial standard errors."""
     return rate + 3.0 * math.sqrt(rate / trials)
 
 
@@ -67,7 +67,7 @@ def deviation_check_empirical(
 
     The stated bound promises failure probability at most gamma once
     n >= ln(|F|/gamma)/delta^2; the audit compares the observed rate against
-    gamma plus three binomial standard errors.
+    gamma plus 3*sqrt(gamma/trials), at least three binomial standard errors.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -123,7 +123,7 @@ def reweighted_deviation_check(
     their sum, the total mass r, at 1. The audit requires the observed mean
     over all trials to sit within three standard errors (variance at most
     kappa/m per trial) and the per-trial deviation failure rate to stay under
-    gamma plus three binomial standard errors.
+    gamma plus 3*sqrt(gamma/trials), at least three binomial standard errors.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -291,7 +291,7 @@ def boolean_experiment(
     full pipeline with monotone marginals of order d, and measures the worst
     statistic disagreement between real and synthetic data. The pass criterion
     allows errors above 8*delta in at most a 4*gamma fraction of trials, plus
-    three binomial standard errors.
+    3*sqrt(4*gamma/trials), at least three binomial standard errors.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -6,8 +6,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .audit import (
     DEFAULT_AUDIT_SLACK,
     boolean_experiment,
@@ -88,19 +86,17 @@ def _cmd_audit_lemma3(args) -> tuple[str, bool]:
     population = _load_distribution(args.nu)
     queries = parse_query_spec(_load_text(args.queries), population.schema)
     result = deviation_check_empirical(
-        population, queries, args.n, args.delta, args.gamma, args.trials,
-        np.random.default_rng(args.seed),
+        population, queries, args.n, args.delta, args.gamma, args.trials, args.seed
     )
     return result.report_text(), result.passed
 
 
 def _cmd_audit_lemma4(args) -> tuple[str, bool]:
     population = _load_distribution(args.nu)
-    sampling = _load_distribution(args.mu)
+    sampling = _load_distribution(args.mu, population.schema)
     queries = parse_query_spec(_load_text(args.queries), population.schema)
     result = reweighted_deviation_check(
-        population, sampling, queries, args.m, args.delta, args.gamma,
-        args.trials, np.random.default_rng(args.seed),
+        population, sampling, queries, args.m, args.delta, args.gamma, args.trials, args.seed
     )
     return result.report_text(), result.passed
 
@@ -110,8 +106,7 @@ def _cmd_audit_dp(args) -> tuple[str, bool]:
     d2 = _read_dataset(args.d2)
     queries = parse_query_spec(_load_text(args.queries), d1.schema)
     result = privacy_audit(
-        queries, args.sigma, d1, d2, args.trials, args.bins,
-        np.random.default_rng(args.seed), slack=args.slack,
+        queries, args.sigma, d1, d2, args.trials, args.bins, args.seed, slack=args.slack
     )
     return result.report_text(), result.passed
 
@@ -126,111 +121,85 @@ def _cmd_audit_corollary(args) -> tuple[str, bool]:
 
 def _cmd_kappa(args) -> tuple[str, bool]:
     population = _load_distribution(args.nu)
-    sampling = _load_distribution(args.mu, getattr(population, "schema", None))
+    sampling = _load_distribution(args.mu, population.schema)
     if args.mc is not None:
         if args.seed is None:
             raise ValueError("--mc needs --seed")
-        value = renyi_condition_number_mc(
-            population, sampling, args.mc, np.random.default_rng(args.seed)
-        )
+        value = renyi_condition_number_mc(population, sampling, args.mc, args.seed)
     else:
         value = renyi_condition_number_exact(population, sampling)
     return f"{value:.9f}\n", True
 
 
-def _bind(parser, func) -> None:
-    """Set a command's handler, which returns (report text, gate passed), and
-    its config echo: its value options but --report, in declaration order."""
-    echo = [a.dest for a in parser._actions if a.nargs is None and a.dest != "report"]
-    parser.set_defaults(func=func, echo=echo)
+# Every option, declared once: its type, its default or that it is required, and its help.
+_OPTIONS = {
+    "data": dict(required=True, help="sensitive dataset file"),
+    "nu": dict(required=True, help="population distribution spec (file or inline)"),
+    "mu": dict(required=True, help="sampling distribution spec, or 'uniform' (population schema)"),
+    "queries": dict(required=True, help="query spec (file or inline)"),
+    "d1": dict(required=True, help="dataset file"),
+    "d2": dict(required=True, help="dataset file that neighbors --d1"),
+    "p": dict(type=int, required=True, help="Boolean coordinates"),
+    "d": dict(type=int, required=True, help="marginal order"),
+    "n": dict(type=int, required=True, help="records per drawn dataset"),
+    "k": dict(type=int, required=True, help="synthetic records to draw"),
+    "m": dict(type=int, required=True, help="reduced domain sample size"),
+    "delta": dict(type=float, required=True, help="per-statistic accuracy target"),
+    "gamma": dict(type=float, required=True, help="failure probability"),
+    "epsilon": dict(type=float, default=None, help="privacy budget to enforce (default: none)"),
+    "kappa-bound": dict(type=float, default=1.0, help="kappa bound that scales the m threshold"),
+    "sigma": dict(type=float, required=True, help="Laplace noise scale"),
+    "trials": dict(type=int, required=True, help="audit trials"),
+    "bins": dict(type=int, required=True, help="histogram bins"),
+    "slack": dict(type=float, default=DEFAULT_AUDIT_SLACK, help="allowed excess of epsilon_hat"),
+    "mc": dict(type=int, default=None, help="Monte Carlo sample count (default: exact)"),
+    "seed": dict(type=int, required=True, help="random seed"),
+    "out": dict(required=True, help="synthetic dataset output path"),
+    "allow-privacy-failure": dict(action="store_true", help="do not enforce the privacy gate"),
+    "export-noisy-targets": dict(action="store_true", help="report the noisy statistics too"),
+    "report": dict(default=None, help="report path (default: stdout)"),
+}
+
+# Each command's handler, which returns (report text, gate passed), help and options. The
+# config echo prints the options' values in this order, but not the flags'. All take --report.
+_COMMANDS = {
+    "generate": (_cmd_generate, "produce a private synthetic dataset",
+                 "data queries mu delta gamma k m epsilon kappa-bound seed out "
+                 "allow-privacy-failure export-noisy-targets"),
+    "lemma3": (_cmd_audit_lemma3, "plain sampling deviation check",
+               "nu queries n delta gamma trials seed"),
+    "lemma4": (_cmd_audit_lemma4, "importance-weighted deviation check",
+               "nu mu queries m delta gamma trials seed"),
+    "dp": (_cmd_audit_dp, "empirical privacy probe",
+           "queries sigma d1 d2 trials bins slack seed"),
+    "corollary": (_cmd_audit_corollary, "end-to-end Boolean experiment",
+                  "p d n k m delta gamma trials seed"),
+}
+
+
+def _add_command(sub, name: str) -> None:
+    func, help_text, options = _COMMANDS[name]
+    command = sub.add_parser(name, help=help_text)
+    for option in options.split() + ["report"]:
+        command.add_argument(f"--{option}", **_OPTIONS[option])
+    echo = [o.replace("-", "_") for o in options.split() if "action" not in _OPTIONS[o]]
+    command.set_defaults(func=func, echo=echo)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dpsynth", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    gen = sub.add_parser("generate", help="produce a private synthetic dataset")
-    gen.add_argument("--data", required=True, help="sensitive dataset file")
-    gen.add_argument("--queries", required=True, help="query spec (file or inline)")
-    gen.add_argument("--mu", required=True,
-                     help="sampling distribution spec, or 'uniform' for the data schema")
-    gen.add_argument("--delta", type=float, required=True)
-    gen.add_argument("--gamma", type=float, required=True)
-    gen.add_argument("--k", type=int, required=True, help="synthetic records to draw")
-    gen.add_argument("--m", type=int, required=True, help="reduced domain sample size")
-    gen.add_argument("--epsilon", type=float, default=None,
-                     help="required privacy budget; omit to only report the achieved one")
-    gen.add_argument("--kappa-bound", dest="kappa_bound", type=float, default=1.0)
-    gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--out", required=True, help="synthetic dataset output path")
-    gen.add_argument("--report", default=None, help="report path (default: stdout)")
-    gen.add_argument("--allow-privacy-failure", dest="allow_privacy_failure",
-                     action="store_true")
-    gen.add_argument("--export-noisy-targets", dest="export_noisy_targets",
-                     action="store_true")
-    _bind(gen, _cmd_generate)
-
+    _add_command(sub, "generate")
     audit = sub.add_parser("audit", help="statistical audits")
-    audit_sub = audit.add_subparsers(dest="audit_command", required=True,
-                                     parser_class=_Parser)
-
-    lemma3 = audit_sub.add_parser("lemma3", help="plain sampling deviation check")
-    lemma3.add_argument("--nu", required=True, help="population distribution spec")
-    lemma3.add_argument("--queries", required=True)
-    lemma3.add_argument("--n", type=int, required=True)
-    lemma3.add_argument("--delta", type=float, required=True)
-    lemma3.add_argument("--gamma", type=float, required=True)
-    lemma3.add_argument("--trials", type=int, required=True)
-    lemma3.add_argument("--seed", type=int, required=True)
-    lemma3.add_argument("--report", default=None)
-    _bind(lemma3, _cmd_audit_lemma3)
-
-    lemma4 = audit_sub.add_parser("lemma4", help="importance-weighted deviation check")
-    lemma4.add_argument("--nu", required=True)
-    lemma4.add_argument("--mu", required=True)
-    lemma4.add_argument("--queries", required=True)
-    lemma4.add_argument("--m", type=int, required=True)
-    lemma4.add_argument("--delta", type=float, required=True)
-    lemma4.add_argument("--gamma", type=float, required=True)
-    lemma4.add_argument("--trials", type=int, required=True)
-    lemma4.add_argument("--seed", type=int, required=True)
-    lemma4.add_argument("--report", default=None)
-    _bind(lemma4, _cmd_audit_lemma4)
-
-    dp = audit_sub.add_parser("dp", help="empirical privacy probe")
-    dp.add_argument("--queries", required=True)
-    dp.add_argument("--sigma", type=float, required=True)
-    dp.add_argument("--d1", required=True)
-    dp.add_argument("--d2", required=True)
-    dp.add_argument("--trials", type=int, required=True)
-    dp.add_argument("--bins", type=int, required=True)
-    dp.add_argument("--slack", type=float, default=DEFAULT_AUDIT_SLACK)
-    dp.add_argument("--seed", type=int, required=True)
-    dp.add_argument("--report", default=None)
-    _bind(dp, _cmd_audit_dp)
-
-    cor = audit_sub.add_parser("corollary", help="end-to-end Boolean experiment")
-    cor.add_argument("--p", type=int, required=True)
-    cor.add_argument("--d", type=int, required=True)
-    cor.add_argument("--n", type=int, required=True)
-    cor.add_argument("--k", type=int, required=True)
-    cor.add_argument("--m", type=int, required=True)
-    cor.add_argument("--delta", type=float, required=True)
-    cor.add_argument("--gamma", type=float, required=True)
-    cor.add_argument("--trials", type=int, required=True)
-    cor.add_argument("--seed", type=int, required=True)
-    cor.add_argument("--report", default=None)
-    _bind(cor, _cmd_audit_corollary)
-
+    audit_sub = audit.add_subparsers(dest="audit_command", required=True, parser_class=_Parser)
+    for name in ("lemma3", "lemma4", "dp", "corollary"):
+        _add_command(audit_sub, name)
     kap = sub.add_parser("kappa", help="condition number of one distribution against another")
-    kap.add_argument("--nu", required=True, help="population distribution spec")
-    kap.add_argument("--mu", required=True, help="sampling distribution spec")
-    kap.add_argument("--mc", type=int, default=None,
-                     help="Monte Carlo sample count (default: exact)")
-    kap.add_argument("--seed", type=int, default=None)
-    # kappa prints its value alone, to stdout.
+    for option in ("nu", "mu", "mc"):
+        kap.add_argument(f"--{option}", **_OPTIONS[option])
+    # Optional here, as only --mc draws. kappa prints its value alone, to stdout.
+    kap.add_argument("--seed", type=int, default=None, help="random seed for --mc")
     kap.set_defaults(func=_cmd_kappa, echo=[], report=None)
-
     return parser
 
 
@@ -247,12 +216,9 @@ def main(argv=None) -> int:
             Path(args.report).write_text(text)
         else:
             sys.stdout.write(text)
-    except (PrivacyGateError, FitGateError) as exc:
+    except (PrivacyGateError, FitGateError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GATE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_GATE if isinstance(exc, (PrivacyGateError, FitGateError)) else EXIT_USAGE
     return EXIT_OK if passed else EXIT_GATE
 
 

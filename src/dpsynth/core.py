@@ -91,11 +91,7 @@ class Dataset:
         head_end = text.find(b"\n", 0, end)
         if head_end < 0:
             head_end = end
-        head = text[:head_end] + b"\n"
-        header = _scan_block(head, head.count(b",") + 1)
-        if header is None:
-            raise ValueError("line 1: expected comma-separated arities")
-        arities = header[0]
+        arities = _scan_line(text[:head_end], "line 1: expected comma-separated arities")
         try:
             schema = _check_schema(arities)
         except ValueError as exc:
@@ -268,6 +264,30 @@ def _parse_block(buf: bytes, arities: np.ndarray, first_line: int) -> np.ndarray
             f"value {rows[r, c]} is not below its arity {arities[c]}"
         )
     return rows
+
+
+def _scan_line(line: str | bytes, error: str) -> np.ndarray:
+    """The cells of one line, newline excluded, in the dataset's grammar; else ValueError(error)."""
+    if isinstance(line, str):
+        line = line.encode("ascii", "replace")  # so a non-ASCII character fails as "?"
+    values = _scan_block(line + b"\n", line.count(b",") + 1)
+    if values is None:
+        raise ValueError(error)
+    return values[0]
+
+
+def _spec_lines(text: str) -> list[tuple[int, str]]:
+    """(number, line) of each spec line that is not blank without its ``#`` comment."""
+    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    return [(n, line) for n, line in enumerate(lines, start=1) if line]
+
+
+def _on_line(lineno: int, parse, *args):
+    """``parse(*args)``, naming line ``lineno`` in any ValueError it raises."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
 
 
 def _render_block(rows: np.ndarray) -> bytes:

@@ -20,8 +20,11 @@ from .core import (
     _check_schema,
     _domain_size,
     _first_occurrences,
+    _on_line,
     _row_dtype,
     _row_groups,
+    _scan_line,
+    _spec_lines,
 )
 
 # Cap for enumerating a full product domain into an explicit distribution.
@@ -64,9 +67,11 @@ class ProductDistribution:
         return tuple(len(v) for v in self._vectors)
 
     def mass_many(self, rows: np.ndarray) -> np.ndarray:
+        """The mass of each row: 0 when a cell lies outside its coordinate's range."""
         out = np.ones(rows.shape[0])
-        for c, v in enumerate(self._vectors):
-            out *= v[rows[:, c]]
+        for v, cells in zip(self._vectors, rows.T):
+            inside = (cells >= 0) & (cells < len(v))
+            out *= np.where(inside, v[np.where(inside, cells, 0)], 0.0)
         return out
 
     def sample(self, count: int, rng) -> Dataset:
@@ -205,6 +210,39 @@ def exact_statistics(dist, queries: QueryFamily) -> np.ndarray:
     return queries.product_expectations(dist.coordinate_probabilities)
 
 
+def _spec_header(line: str) -> tuple[str, tuple[int, ...] | None]:
+    kind, *args = line.split()
+    if kind == "product":
+        if args:
+            raise ValueError("'product' takes no arguments")
+        return kind, None
+    if kind not in ("uniform", "explicit"):
+        raise ValueError(f"unknown distribution kind {kind!r}")
+    if len(args) != 1:
+        raise ValueError(f"expected '{kind} <arities>'")
+    return kind, _check_schema(_scan_line(args[0], "arities must be comma-separated integers"))
+
+
+def _probability_line(line: str) -> np.ndarray:
+    try:
+        vector = np.array([float(t) for t in line.split(",")])
+    except ValueError:
+        raise ValueError("expected comma-separated probabilities") from None
+    return _check_masses(vector, "probabilities", "1e-12")
+
+
+def _point_line(line: str, schema: tuple[int, ...]) -> tuple[np.ndarray, float]:
+    try:
+        point_part, mass_part = line.split(";", 1)
+        mass = float(mass_part)
+    except ValueError:
+        raise ValueError("expected 'point;mass'") from None
+    point = _scan_line(point_part, "point must be comma-separated integers")
+    Dataset(schema, [point])  # the dataset's range check, on this line alone
+    _check_masses(np.array([mass]), "masses")
+    return point, mass
+
+
 def parse_distribution_spec(text: str):
     """Parse a distribution spec.
 
@@ -212,57 +250,25 @@ def parse_distribution_spec(text: str):
       * ``product`` followed by one probability vector per line.
       * ``explicit <arities>`` followed by ``point;mass`` lines.
       * ``uniform <arities>`` on a single line.
+
+    Each line's errors name it; the whole-list rules (masses sum to 1, distinct points) come last.
     """
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    body = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
-    if not body:
+    lines = _spec_lines(text)
+    if not lines:
         raise ValueError("empty distribution spec")
-    first_no, header = body[0]
-    tokens = header.split()
-    kind = tokens[0]
-    if kind == "product":
-        if len(tokens) != 1:
-            raise ValueError(f"line {first_no}: 'product' takes no arguments")
-        vectors = []
-        for lineno, ln in body[1:]:
-            try:
-                vectors.append([float(t) for t in ln.split(",")])
-            except ValueError:
-                raise ValueError(f"line {lineno}: expected comma-separated probabilities") from None
-        if not vectors:
-            raise ValueError("product spec needs at least one coordinate line")
-        try:
-            return ProductDistribution(vectors)
-        except ValueError as exc:
-            raise ValueError(f"invalid product distribution: {exc}") from None
-    if kind not in ("uniform", "explicit"):
-        raise ValueError(f"line {first_no}: unknown distribution kind {kind!r}")
-    if len(tokens) != 2:
-        raise ValueError(f"line {first_no}: expected '{kind} <arities>'")
-    try:
-        schema = [int(t) for t in tokens[1].split(",")]
-    except ValueError:
-        raise ValueError(f"line {first_no}: arities must be comma-separated integers") from None
-    try:
-        schema = _check_schema(schema)
-    except ValueError as exc:
-        raise ValueError(f"line {first_no}: {exc}") from None
+    (first, header), *body = lines
+    kind, schema = _on_line(first, _spec_header, header)
     if kind == "uniform":
-        if len(body) > 1:
-            raise ValueError(f"line {body[1][0]}: 'uniform' takes no further lines")
+        if body:
+            raise ValueError(f"line {body[0][0]}: 'uniform' takes no further lines")
         return ProductDistribution.uniform(schema)
-    rows, masses = [], []
-    for lineno, ln in body[1:]:
-        if ";" not in ln:
-            raise ValueError(f"line {lineno}: expected 'point;mass'")
-        point_part, mass_part = ln.split(";", 1)
-        try:
-            rows.append([int(t) for t in point_part.split(",")])
-            masses.append(float(mass_part))
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected 'i,j,...;mass'") from None
-    if not rows:
+    if kind == "product":
+        if not body:
+            raise ValueError("product spec needs at least one coordinate line")
+        return ProductDistribution([_on_line(n, _probability_line, line) for n, line in body])
+    if not body:
         raise ValueError("explicit spec needs at least one point line")
+    rows, masses = zip(*(_on_line(n, _point_line, line, schema) for n, line in body))
     try:
         return ExplicitDistribution(Dataset(schema, rows), masses)
     except ValueError as exc:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Sequence
 
-from .core import QueryFamily, TestFunction
+from .core import QueryFamily, TestFunction, _on_line, _scan_line, _spec_lines
 
 
 def marginal_family(p: int, d: int, kind: str = "monotone") -> QueryFamily:
@@ -36,15 +36,34 @@ def marginal_family(p: int, d: int, kind: str = "monotone") -> QueryFamily:
     return QueryFamily(funcs)
 
 
-def _parse_kv(token: str, key: str, lineno: int) -> list[int]:
+def _parse_kv(token: str, key: str) -> Sequence[int]:
     prefix = key + "="
     if not token.startswith(prefix):
-        raise ValueError(f"line {lineno}: expected {key}=<...>, got {token!r}")
-    body = token[len(prefix):]
-    try:
-        return [int(t) for t in body.split(",")]
-    except ValueError:
-        raise ValueError(f"line {lineno}: {key} must be comma-separated integers") from None
+        raise ValueError(f"expected {key}=<...>, got {token!r}")
+    return _scan_line(token[len(prefix):], f"{key} must be comma-separated integers")
+
+
+def _directive(tokens: list[str], schema: tuple[int, ...]) -> Sequence[TestFunction]:
+    """The functions one spec line adds. The library objects check every rule
+    but two that are the spec's own: 1-based coordinates and Boolean marginals."""
+    directive, args = tokens[0], tokens[1:]
+    if directive == "marginals":
+        if len(args) != 2:
+            raise ValueError("expected 'marginals <kind> d=<int>'")
+        (d,) = _parse_kv(args[1], "d")
+        if any(a != 2 for a in schema):
+            raise ValueError("marginals need a Boolean schema")
+        return marginal_family(len(schema), d, args[0])
+    if directive == "indicator":
+        if len(args) != 2:
+            raise ValueError("expected 'indicator S=<...> values=<...>'")
+        coords, values = _parse_kv(args[0], "S"), _parse_kv(args[1], "values")
+        if any(c < 1 or c > len(schema) for c in coords):
+            raise ValueError(f"coordinates must lie in 1..{len(schema)}")
+        function = TestFunction.assignment([c - 1 for c in coords], values)
+        QueryFamily([function]).check_schema(schema)
+        return [function]
+    raise ValueError(f"unknown directive {directive!r}")
 
 
 def parse_query_spec(text: str, schema: Sequence[int]) -> QueryFamily:
@@ -56,56 +75,15 @@ def parse_query_spec(text: str, schema: Sequence[int]) -> QueryFamily:
       * ``indicator S=<i,j,...> values=<v,...>`` adds one assignment
         indicator; coordinates are 1-based.
 
-    The constant-one function is prepended when the listing does not already
-    produce it.
+    The constant-one function is kept once, and prepended when the listing
+    does not produce it.
     """
     schema = tuple(int(a) for a in schema)
-    p = len(schema)
     funcs: list[TestFunction] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        directive = tokens[0]
-        if directive == "marginals":
-            if len(tokens) != 3:
-                raise ValueError(f"line {lineno}: expected 'marginals <kind> d=<int>'")
-            kind = tokens[1]
-            if kind not in ("monotone", "assignment"):
-                raise ValueError(f"line {lineno}: kind must be 'monotone' or 'assignment'")
-            (d,) = _parse_kv(tokens[2], "d", lineno)
-            if any(a != 2 for a in schema):
-                raise ValueError(f"line {lineno}: marginals need a Boolean schema")
-            try:
-                family = marginal_family(p, d, kind)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            have_constant = any(f.is_constant_one for f in funcs)
-            for f in family:
-                if f.is_constant_one and have_constant:
-                    continue
+    for lineno, line in _spec_lines(text):
+        for f in _on_line(lineno, _directive, line.split(), schema):
+            if not (f.is_constant_one and any(g.is_constant_one for g in funcs)):
                 funcs.append(f)
-        elif directive == "indicator":
-            if len(tokens) != 3:
-                raise ValueError(f"line {lineno}: expected 'indicator S=<...> values=<...>'")
-            coords = _parse_kv(tokens[1], "S", lineno)
-            values = _parse_kv(tokens[2], "values", lineno)
-            if len(coords) != len(values):
-                raise ValueError(f"line {lineno}: S and values must have equal length")
-            if any(c < 1 or c > p for c in coords):
-                raise ValueError(f"line {lineno}: coordinates must lie in 1..{p}")
-            if len(set(coords)) != len(coords):
-                raise ValueError(f"line {lineno}: coordinates must be distinct")
-            zero_based = [c - 1 for c in coords]
-            for c, v in zip(zero_based, values):
-                if v < 0 or v >= schema[c]:
-                    raise ValueError(
-                        f"line {lineno}: value {v} out of range for coordinate {c + 1}"
-                    )
-            funcs.append(TestFunction.assignment(zero_based, values))
-        else:
-            raise ValueError(f"line {lineno}: unknown directive {directive!r}")
     if not any(f.is_constant_one for f in funcs):
         funcs.insert(0, TestFunction.constant_one())
     return QueryFamily(funcs)

@@ -1,11 +1,13 @@
 import functools
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dpsynth import Dataset, ProductDistribution, optimize, synth
-from dpsynth.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, main
+from dpsynth.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, build_parser, main
 
 
 @pytest.fixture
@@ -192,6 +194,20 @@ class TestAuditCommands:
         assert "lemma4_passed = true" in text
         assert "mean_r = " in text
 
+    def test_lemma4_takes_uniform_from_the_population(self, two_point_nu_file, capsys):
+        reports = []
+        for mu in ("uniform", "uniform 2"):
+            code = main([
+                "audit", "lemma4", "--nu", str(two_point_nu_file), "--mu", mu,
+                "--queries", "indicator S=1 values=0", "--m", "100",
+                "--delta", "0.2", "--gamma", "0.1", "--trials", "20", "--seed", "13",
+            ])
+            captured = capsys.readouterr()
+            assert (code, captured.err) == (EXIT_OK, "")
+            reports.append([ln for ln in captured.out.splitlines() if not ln.startswith("config_")])
+        assert reports[0] == reports[1]
+        assert "lemma4_passed = true" in reports[0]
+
     def test_dp_same_dataset(self, tmp_path, capsys):
         d1 = tmp_path / "d1.txt"
         d1.write_text("2\n0\n0\n0\n0\n0\n1\n1\n1\n1\n1\n")
@@ -283,13 +299,22 @@ class TestKappaCommand:
         assert captured.out == ""
         assert captured.err == "error: distributions must share a schema\n"
 
-    @pytest.mark.parametrize("nu", ["uniform 0", "uniform -1", "uniform 2,0"])
-    def test_arities_below_one_are_one_error_line(self, nu, capsys):
+    @pytest.mark.parametrize(
+        "nu, message",
+        [
+            ("uniform 0", "coordinate arities must be >= 1"),
+            # A sign is not part of the dataset's cell grammar.
+            ("uniform -1", "arities must be comma-separated integers"),
+            ("uniform 2,0", "coordinate arities must be >= 1"),
+        ],
+        ids=["uniform 0", "uniform -1", "uniform 2,0"],
+    )
+    def test_arities_below_one_are_one_error_line(self, nu, message, capsys):
         code = main(["kappa", "--nu", nu, "--mu", "uniform 2"])
         captured = capsys.readouterr()
         assert code == EXIT_USAGE
         assert captured.out == ""
-        assert captured.err == "error: line 1: coordinate arities must be >= 1\n"
+        assert captured.err == f"error: line 1: {message}\n"
 
     def test_domination_failure(self, capsys, tmp_path):
         nu = tmp_path / "nu.txt"
@@ -304,6 +329,21 @@ class TestKappaCommand:
 class TestTopLevel:
     def test_no_arguments(self, capsys):
         assert main([]) == EXIT_USAGE
+
+    def test_readme_commands_parse(self):
+        """Every ``dpsynth`` command in the README's sh blocks names only
+        options that its subcommand declares."""
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+        commands = [
+            shlex.split(command, comments=True)
+            for block in blocks
+            for command in block.replace("\\\n", " ").splitlines()
+            if command.startswith("dpsynth ")
+        ]
+        parser = build_parser()
+        handlers = {parser.parse_args(argv[1:]).func for argv in commands}
+        assert len(handlers) == 6  # one example at least for each subcommand
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE

@@ -108,10 +108,19 @@ class TestExplicitDistribution:
             ExplicitDistribution(points, masses)
 
     def test_nan_spec_masses_rejected(self):
-        with pytest.raises(ValueError, match="invalid explicit distribution: masses must be"):
+        with pytest.raises(ValueError, match="^line 2: masses must be nonnegative and finite$"):
             parse_distribution_spec("explicit 2\n0;nan\n1;nan\n")
-        with pytest.raises(ValueError, match="invalid product distribution: coordinate 1"):
+        with pytest.raises(ValueError, match="^line 2: probabilities must be nonnegative and finite$"):
             parse_distribution_spec("product\nnan,nan\n")
+
+    @pytest.mark.parametrize(
+        "row, mass", [([1, 0], 0.42), ([-1, 0], 0.0), ([0, -1], 0.0), ([2, 0], 0.0), ([1, 7], 0.0)]
+    )
+    def test_mass_many_agrees_with_the_product_form(self, row, mass):
+        product = ProductDistribution([[0.3, 0.7], [0.6, 0.4]])
+        rows = np.array([row], dtype=np.int64)
+        got = [dist.mass_many(rows).tolist() for dist in (product, product.to_explicit())]
+        assert got[0] == got[1] == pytest.approx([mass], abs=1e-15)
 
     def test_mass_off_support_is_zero(self):
         dist = ExplicitDistribution(Dataset((3,), [[0], [2]]), [0.25, 0.75])
@@ -309,11 +318,48 @@ class TestParseDistributionSpec:
         assert mass_at(dist, (0, 1)) == 0.0
 
     @pytest.mark.parametrize(
-        "spec", ["uniform 0\n", "uniform -1\n", "uniform 2,0\n", "explicit 2,0\n0,0;1\n"]
+        "spec, message",
+        [
+            ("uniform 0\n", "coordinate arities must be >= 1"),
+            # A sign is not part of the dataset's cell grammar.
+            ("uniform -1\n", "arities must be comma-separated integers"),
+            ("uniform 2,0\n", "coordinate arities must be >= 1"),
+            ("explicit 2,0\n0,0;1\n", "coordinate arities must be >= 1"),
+        ],
+        ids=["uniform 0\n", "uniform -1\n", "uniform 2,0\n", "explicit 2,0\n0,0;1\n"],
     )
-    def test_arities_below_one_name_the_header_line(self, spec):
-        with pytest.raises(ValueError, match="^line 1: coordinate arities must be >= 1$"):
+    def test_arities_below_one_name_the_header_line(self, spec, message):
+        with pytest.raises(ValueError, match=f"^line 1: {message}$"):
             parse_distribution_spec(spec)
+
+    @pytest.mark.parametrize("spec", ["uniform +2\n", "uniform 1_0\n", "explicit ٢\n0;1\n"])
+    def test_arities_follow_the_dataset_cell_grammar(self, spec):
+        with pytest.raises(ValueError, match="^line 1: arities must be comma-separated integers$"):
+            parse_distribution_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("explicit 2\n0;0.5\n5;0.5\n", "line 3: row values must lie within the schema arities"),
+            ("explicit 2,2\n0,0;0.5\n1;0.5\n", r"line 3: rows must have shape \(n, 2\)"),
+            ("explicit 2\n# c\n+1;1\n", "line 3: point must be comma-separated integers"),
+            ("explicit 2\n0;nan\n1;0.5\n", "line 2: masses must be nonnegative and finite"),
+            ("explicit 2\n0;1.5\n1;-0.5\n", "line 3: masses must be nonnegative and finite"),
+            ("product\n# c\n\n0.5,0.5\n0.7,0.7\n", "line 5: probabilities must sum to 1 within 1e-12"),
+            ("product\n0.5,0.5\n1.5,-0.5\n", "line 3: probabilities must be nonnegative and finite"),
+            # The rules on the whole point list keep their own message.
+            ("explicit 2\n0;0.5\n0;0.5\n", "invalid explicit distribution: points must be distinct"),
+        ],
+        ids=["point-range", "point-length", "point-grammar", "mass-nan", "mass-negative",
+             "probabilities-sum", "probabilities-negative", "points-distinct"],
+    )
+    def test_each_line_is_checked_as_it_is_read(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            parse_distribution_spec(spec)
+
+    def test_points_allow_blanks_around_a_cell(self):
+        dist = parse_distribution_spec("explicit 2,2\n0 ,\t1;1\n")
+        assert dist.points.rows.tolist() == [[0, 1]]
 
     def test_comments(self):
         dist = parse_distribution_spec("# sampling\nuniform 4 # four values\n")
@@ -340,5 +386,5 @@ class TestParseDistributionSpec:
             parse_distribution_spec("explicit 2\n")
         with pytest.raises(ValueError, match="invalid explicit distribution"):
             parse_distribution_spec("explicit 2\n0;0.5\n1;0.6\n")
-        with pytest.raises(ValueError, match="invalid product distribution"):
+        with pytest.raises(ValueError, match="line 2: probabilities must sum to 1"):
             parse_distribution_spec("product\n0.5,0.6\n")

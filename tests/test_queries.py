@@ -95,12 +95,23 @@ class TestParseQuerySpec:
             parse_query_spec("marginals monotone d=1", (2, 3))
         with pytest.raises(ValueError, match="line 3: coordinates must lie in 1..2"):
             parse_query_spec("# a\n# b\nindicator S=3 values=0", (2, 2))
-        with pytest.raises(ValueError, match="line 1: value 7 out of range"):
+        with pytest.raises(
+            ValueError, match="line 1: schema mismatch: value 7 out of range for coordinate 2"
+        ):
             parse_query_spec("indicator S=2 values=7", (2, 3))
-        with pytest.raises(ValueError, match="line 1: S and values"):
+        with pytest.raises(ValueError, match="line 1: need one assigned value per coordinate"):
             parse_query_spec("indicator S=1,2 values=0", (2, 2))
-        with pytest.raises(ValueError, match="line 1: coordinates must be distinct"):
+        with pytest.raises(ValueError, match="line 1: coordinate indices must be distinct"):
             parse_query_spec("indicator S=1,1 values=0,0", (2, 2))
+
+    @pytest.mark.parametrize(
+        "text", ["indicator S=+1 values=0", "indicator S=1 values=0_0", "indicator S=١ values=0",
+                 "indicator S=1 values=-0", "marginals monotone d=+1", "marginals monotone d=1.0"]
+    )
+    def test_integers_follow_the_dataset_cell_grammar(self, text):
+        # A sign, an underscore, a non-ASCII digit or a fraction is not a cell.
+        with pytest.raises(ValueError, match="^line 1: (S|values|d) must be comma-separated integers$"):
+            parse_query_spec(text, (2, 2))
 
     def test_marginal_order_beyond_dimension(self):
         with pytest.raises(ValueError, match="line 1: .*0 <= d <= p"):
