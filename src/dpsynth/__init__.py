@@ -13,7 +13,6 @@ from .audit import (
 )
 from .core import (
     Dataset,
-    FiniteDensity,
     QueryFamily,
     TestFunction,
     accuracy_error,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset",
     "ExplicitDistribution",
-    "FiniteDensity",
     "FitGateError",
     "FitProblem",
     "FitSolution",

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -277,9 +276,9 @@ def _scan_line(line: str | bytes, error: str) -> np.ndarray:
 
 
 def _spec_lines(text: str) -> list[tuple[int, str]]:
-    """(number, line) of each spec line that is not blank without its ``#`` comment."""
-    lines = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
-    return [(n, line) for n, line in enumerate(lines, start=1) if line]
+    """(number, line) of each nonblank spec line, its ``#`` comment cut, spaces and tabs trimmed."""
+    lines = (raw.split("#", 1)[0].strip(" \t") for raw in text.splitlines())
+    return [(n, line) for n, line in enumerate(lines, start=1) if line.strip()]
 
 
 def _on_line(lineno: int, parse, *args):
@@ -514,32 +513,6 @@ class QueryFamily:
         for column in self._literal_index.T:
             out *= probs[column]
         return out
-
-
-def _check_masses(masses: np.ndarray, name: str, within: str | None = None) -> np.ndarray:
-    """``masses``, made read-only. Raises ValueError, naming the vector ``name``,
-    unless its entries are nonnegative and finite and, given the decimal
-    tolerance ``within``, sum to 1 within it."""
-    if not (np.isfinite(masses) & (masses >= 0)).all():
-        raise ValueError(f"{name} must be nonnegative and finite")
-    if within is not None and abs(math.fsum(masses) - 1.0) > float(within):
-        raise ValueError(f"{name} must sum to 1 within {within}")
-    masses.setflags(write=False)
-    return masses
-
-
-@dataclass(frozen=True)
-class FiniteDensity:
-    """Probability weights over the points of a finite support dataset."""
-
-    support: Dataset
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.weights, dtype=float, copy=True)
-        if w.ndim != 1 or len(w) != len(self.support):
-            raise ValueError("need exactly one weight per support point")
-        object.__setattr__(self, "weights", _check_masses(w, "weights", "1e-9"))
 
 
 def evaluate_all(queries: QueryFamily, data: Dataset) -> np.ndarray:

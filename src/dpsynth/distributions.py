@@ -8,7 +8,6 @@ it multiplies across independent coordinates.
 from __future__ import annotations
 
 import math
-from itertools import product as iter_product
 from typing import Sequence
 
 import numpy as np
@@ -16,7 +15,6 @@ import numpy as np
 from .core import (
     Dataset,
     QueryFamily,
-    _check_masses,
     _check_schema,
     _domain_size,
     _first_occurrences,
@@ -29,6 +27,18 @@ from .core import (
 
 # Cap for enumerating a full product domain into an explicit distribution.
 ENUMERATION_CAP = 1 << 20
+
+
+def _check_masses(masses: np.ndarray, name: str, whole: bool = True) -> np.ndarray:
+    """``masses``, made read-only. Raises ValueError, naming the vector ``name``,
+    unless its entries are nonnegative and finite and, when ``whole``, sum to 1
+    within 1e-12."""
+    if not (np.isfinite(masses) & (masses >= 0)).all():
+        raise ValueError(f"{name} must be nonnegative and finite")
+    if whole and abs(math.fsum(masses) - 1.0) > 1e-12:
+        raise ValueError(f"{name} must sum to 1 within 1e-12")
+    masses.setflags(write=False)
+    return masses
 
 
 def _inverse_cdf_sample(masses: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -49,7 +59,7 @@ class ProductDistribution:
             v = np.array(vec, dtype=float, copy=True).reshape(-1)
             if len(v) < 1:
                 raise ValueError(f"coordinate {i + 1}: empty probability vector")
-            vectors.append(_check_masses(v, f"coordinate {i + 1}: probabilities", "1e-12"))
+            vectors.append(_check_masses(v, f"coordinate {i + 1}: probabilities"))
         if not vectors:
             raise ValueError("need at least one coordinate")
         self._vectors = tuple(vectors)
@@ -90,32 +100,32 @@ class ProductDistribution:
         schema = self.schema
         if _domain_size(schema) > ENUMERATION_CAP:
             raise ValueError("domain too large to enumerate")
-        rows = np.array(list(iter_product(*(range(a) for a in schema))), dtype=np.int64)
-        return ExplicitDistribution(Dataset(schema, rows), self.mass_many(rows))
+        rows = np.indices(schema, dtype=_row_dtype(schema)).reshape(len(schema), -1).T.copy()
+        return ExplicitDistribution(Dataset._adopt(schema, rows), self.mass_many(rows))
 
 
 class ExplicitDistribution:
-    """Distribution given by an explicit list of distinct points and masses."""
+    """Distribution given by an explicit list of distinct points and their weights (masses)."""
 
-    def __init__(self, points: Dataset, masses) -> None:
-        m = np.array(masses, dtype=float, copy=True).reshape(-1)
-        if len(m) != len(points):
+    def __init__(self, points: Dataset, weights) -> None:
+        w = np.array(weights, dtype=float, copy=True).reshape(-1)
+        if len(w) != len(points):
             raise ValueError("need exactly one mass per point")
         if len(points) == 0:
             raise ValueError("need at least one point")
-        _check_masses(m, "masses", "1e-12")
+        _check_masses(w, "masses")
         if len(_first_occurrences(points.rows)) != len(points):
             raise ValueError("points must be distinct")
         self._points = points
-        self._masses = m
+        self._weights = w
 
     @property
     def points(self) -> Dataset:
         return self._points
 
     @property
-    def masses(self) -> np.ndarray:
-        return self._masses
+    def weights(self) -> np.ndarray:
+        return self._weights
 
     @property
     def schema(self) -> tuple[int, ...]:
@@ -130,7 +140,7 @@ class ExplicitDistribution:
         group = np.cumsum(first) - 1
         is_point = order < points
         group_mass = np.zeros(group[-1] + 1)
-        group_mass[group[is_point]] = self._masses[order[is_point]]
+        group_mass[group[is_point]] = self._weights[order[is_point]]
         out = np.empty(rows.shape[0])
         out[order[~is_point] - points] = group_mass[group[~is_point]]
         return out
@@ -139,16 +149,8 @@ class ExplicitDistribution:
         if count < 1:
             raise ValueError("sample count must be >= 1")
         rng = np.random.default_rng(rng)
-        idx = _inverse_cdf_sample(self._masses, count, rng)
+        idx = _inverse_cdf_sample(self._weights, count, rng)
         return Dataset._adopt(self.schema, self._points.rows[idx])
-
-
-def _explicit_for(dist, reason: str) -> ExplicitDistribution:
-    if isinstance(dist, ExplicitDistribution):
-        return dist
-    if isinstance(dist, ProductDistribution):
-        return dist.to_explicit()
-    raise TypeError(f"unsupported distribution type for {reason}: {type(dist)!r}")
 
 
 def renyi_condition_number_exact(population, sampling) -> float:
@@ -171,12 +173,14 @@ def renyi_condition_number_exact(population, sampling) -> float:
                 terms = np.where(pv > 0, pv * pv / qv, 0.0)
             log_total += math.log(math.fsum(terms))
         return math.exp(log_total)
-    pop = _explicit_for(population, "exact condition number")
-    if pop.schema != sampling.schema:
+    if isinstance(population, ProductDistribution):
+        population = population.to_explicit()
+    elif not isinstance(population, ExplicitDistribution):
+        raise TypeError(f"unsupported distribution type: {type(population)!r}")
+    if population.schema != sampling.schema:
         raise ValueError("distributions must share a schema")
-    rows = pop.points.rows
-    p_mass = pop.masses
-    q_mass = sampling.mass_many(rows)
+    p_mass = population.weights
+    q_mass = sampling.mass_many(population.points.rows)
     live = p_mass > 0
     if (q_mass[live] == 0).any():
         raise ValueError("nu not dominated by mu")
@@ -206,7 +210,7 @@ def exact_statistics(dist, queries: QueryFamily) -> np.ndarray:
         raise TypeError(f"unsupported distribution type: {type(dist)!r}")
     queries.check_schema(dist.schema)
     if isinstance(dist, ExplicitDistribution):
-        return queries.weighted_sums(dist.points.rows, dist.masses)
+        return queries.weighted_sums(dist.points.rows, dist.weights)
     return queries.product_expectations(dist.coordinate_probabilities)
 
 
@@ -223,23 +227,30 @@ def _spec_header(line: str) -> tuple[str, tuple[int, ...] | None]:
     return kind, _check_schema(_scan_line(args[0], "arities must be comma-separated integers"))
 
 
+def _real(token: str) -> float:
+    """``float(token)`` for an ASCII token without digit-group underscores; else ValueError."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return float(token)
+
+
 def _probability_line(line: str) -> np.ndarray:
     try:
-        vector = np.array([float(t) for t in line.split(",")])
+        vector = np.array([_real(t) for t in line.split(",")])
     except ValueError:
         raise ValueError("expected comma-separated probabilities") from None
-    return _check_masses(vector, "probabilities", "1e-12")
+    return _check_masses(vector, "probabilities")
 
 
 def _point_line(line: str, schema: tuple[int, ...]) -> tuple[np.ndarray, float]:
     try:
         point_part, mass_part = line.split(";", 1)
-        mass = float(mass_part)
+        mass = _real(mass_part)
     except ValueError:
         raise ValueError("expected 'point;mass'") from None
     point = _scan_line(point_part, "point must be comma-separated integers")
     Dataset(schema, [point])  # the dataset's range check, on this line alone
-    _check_masses(np.array([mass]), "masses")
+    _check_masses(np.array([mass]), "masses", whole=False)
     return point, mass
 
 

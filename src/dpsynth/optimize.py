@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, FiniteDensity, QueryFamily, _first_occurrences
+from .core import Dataset, QueryFamily, _first_occurrences
+from .distributions import ExplicitDistribution
 
 PIVOT_TOL = 1e-9
 OPTIMALITY_GAP = 1e-7
@@ -55,7 +56,7 @@ class FitProblem:
 
 @dataclass(frozen=True)
 class FitSolution:
-    density: FiniteDensity
+    density: ExplicitDistribution
     objective: float
     iterations: int
     status: str  # "optimal" or "iteration-limit"
@@ -181,7 +182,7 @@ def solve_min_max(problem: FitProblem, max_iterations: int | None = None) -> Fit
             f"residual certificate failed: {worst:.3e} > {objective:.3e} + {OPTIMALITY_GAP:.1e}"
         )
     return FitSolution(
-        density=FiniteDensity(problem.support, weights),
+        density=ExplicitDistribution(problem.support, weights),
         objective=objective,
         iterations=iterations,
         status=status,

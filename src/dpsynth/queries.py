@@ -48,12 +48,12 @@ def _directive(tokens: list[str], schema: tuple[int, ...]) -> Sequence[TestFunct
     but two that are the spec's own: 1-based coordinates and Boolean marginals."""
     directive, args = tokens[0], tokens[1:]
     if directive == "marginals":
-        if len(args) != 2:
+        d = _parse_kv(args[1], "d") if len(args) == 2 else ()
+        if len(d) != 1:
             raise ValueError("expected 'marginals <kind> d=<int>'")
-        (d,) = _parse_kv(args[1], "d")
         if any(a != 2 for a in schema):
             raise ValueError("marginals need a Boolean schema")
-        return marginal_family(len(schema), d, args[0])
+        return marginal_family(len(schema), d[0], args[0])
     if directive == "indicator":
         if len(args) != 2:
             raise ValueError("expected 'indicator S=<...> values=<...>'")

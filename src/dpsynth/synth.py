@@ -12,8 +12,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Dataset, FiniteDensity, QueryFamily, evaluate_all
-from .distributions import _inverse_cdf_sample
+from .core import Dataset, QueryFamily, evaluate_all
+from .distributions import ExplicitDistribution, _inverse_cdf_sample
 from .mechanism import laplace_vector, privacy_check
 from .optimize import build_lp, solve_min_max
 
@@ -54,13 +54,14 @@ class PipelineConfig:
             raise ValueError("reduced_size must be >= 1")
 
 
-def bootstrap(density: FiniteDensity, count: int, rng) -> Dataset:
-    """Draw count records i.i.d. from a finite density."""
+def bootstrap(density: ExplicitDistribution, count: int, rng) -> Dataset:
+    """Draw count records i.i.d. from a finite density, such as the fitted one."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    # Its own draw, not density.sample: bootstrap and domain sampling are two layers.
     idx = _inverse_cdf_sample(density.weights, count, np.random.default_rng(rng))
-    # A gather from the validated support needs no second check or copy.
-    return Dataset._adopt(density.support.schema, density.support.rows[idx])
+    # A gather from the validated points needs no second check or copy.
+    return Dataset._adopt(density.schema, density.points.rows[idx])
 
 
 def _fmt(value) -> str:

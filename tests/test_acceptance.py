@@ -200,7 +200,7 @@ def test_criterion_6_condition_number():
         uniform = ProductDistribution.uniform(schema)
         worst_identity = max(
             worst_identity,
-            abs(size * math.fsum(dist.masses**2) - renyi_condition_number_exact(dist, uniform)),
+            abs(size * math.fsum(dist.weights**2) - renyi_condition_number_exact(dist, uniform)),
         )
     ok = (
         abs(exact - 1.25) <= 1e-12

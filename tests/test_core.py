@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from dpsynth import (
     Dataset,
     ExplicitDistribution,
-    FiniteDensity,
     ProductDistribution,
     QueryFamily,
     TestFunction,
@@ -354,7 +353,7 @@ class TestRowDtype:
             sampled,
             explicit.sample(40, rng),
             support,
-            bootstrap(FiniteDensity(support, np.full(len(support), 1 / len(support))), 30, rng),
+            bootstrap(ExplicitDistribution(support, np.full(len(support), 1 / len(support))), 30, rng),
         ]
         for data in adopted:
             assert data.rows.dtype == np.uint16
@@ -525,25 +524,6 @@ class TestQueryFamily:
         family.check_schema((3, 2, 6))
 
 
-class TestFiniteDensity:
-    def test_validation(self, small_dataset):
-        with pytest.raises(ValueError, match="one weight per support point"):
-            FiniteDensity(small_dataset, np.ones(3) / 3)
-        with pytest.raises(ValueError, match="nonnegative"):
-            FiniteDensity(small_dataset, [0.5, 0.7, -0.2, 0.0, 0.0])
-        with pytest.raises(ValueError, match="sum to 1"):
-            FiniteDensity(small_dataset, [0.5, 0.2, 0.1, 0.1, 0.2])
-        with pytest.raises(ValueError, match="weights must be nonnegative and finite"):
-            FiniteDensity(small_dataset, [math.nan] * 5)
-        with pytest.raises(ValueError, match="weights must be nonnegative and finite"):
-            FiniteDensity(small_dataset, [1.0, math.nan, 0.0, 0.0, 0.0])
-
-    def test_weights_read_only(self, small_dataset):
-        uni = FiniteDensity(small_dataset, np.full(5, 0.2))
-        with pytest.raises(ValueError):
-            uni.weights[0] = 0.5
-
-
 class TestStatistics:
     # Hand-enumerated over the five fixture rows:
     #   (0,0,0) (1,0,1) (1,1,0) (0,1,1) (1,1,1)
@@ -572,7 +552,7 @@ class TestStatistics:
 
     def test_weighted_statistics(self):
         support = Dataset((2, 2), [[0, 0], [0, 1], [1, 0], [1, 1]])
-        density = FiniteDensity(support, [0.1, 0.2, 0.3, 0.4])
+        density = ExplicitDistribution(support, [0.1, 0.2, 0.3, 0.4])
         family = QueryFamily(
             [
                 TestFunction.constant_one(),
@@ -581,7 +561,7 @@ class TestStatistics:
                 TestFunction.assignment((1,), (0,)),
             ]
         )
-        stats = family.weighted_sums(density.support.rows, density.weights)
+        stats = family.weighted_sums(density.points.rows, density.weights)
         assert np.allclose(stats, [1.0, 0.7, 0.4, 0.4], atol=1e-15)
 
     def test_compensated_sum_is_exact_on_long_runs(self):

@@ -83,7 +83,7 @@ class TestProductDistribution:
         dist = ProductDistribution([[0.3, 0.7], [0.6, 0.4]])
         explicit = dist.to_explicit()
         assert len(explicit.points) == 4
-        assert math.fsum(explicit.masses) == pytest.approx(1.0, abs=1e-15)
+        assert math.fsum(explicit.weights) == pytest.approx(1.0, abs=1e-15)
         assert mass_at(explicit, (1, 1)) == pytest.approx(0.28, rel=1e-15)
 
 
@@ -100,6 +100,22 @@ class TestExplicitDistribution:
             ExplicitDistribution(Dataset((2,), [[1], [1]]), [0.5, 0.5])
         with pytest.raises(ValueError, match="at least one point"):
             ExplicitDistribution(Dataset((2,), []), [])
+
+    def test_validation_on_a_dataset_support(self, small_dataset):
+        for weights, message in [
+            (np.ones(3) / 3, "one mass per point"),
+            ([0.5, 0.7, -0.2, 0.0, 0.0], "nonnegative"),
+            ([0.5, 0.2, 0.1, 0.1, 0.2], "sum to 1"),
+            ([math.nan] * 5, "masses must be nonnegative and finite"),
+            ([1.0, math.nan, 0.0, 0.0, 0.0], "masses must be nonnegative and finite"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                ExplicitDistribution(small_dataset, weights)
+
+    def test_weights_read_only(self, small_dataset):
+        uniform = ExplicitDistribution(small_dataset, np.full(5, 0.2))
+        with pytest.raises(ValueError):
+            uniform.weights[0] = 0.5
 
     @pytest.mark.parametrize("masses", [[math.nan, math.nan], [1.0, math.nan], [math.inf, 0.0]])
     def test_non_finite_masses_rejected(self, masses):
@@ -273,7 +289,7 @@ class TestExactStatistics:
         explicit = dist.to_explicit()
         brute = np.array(
             [
-                math.fsum(values * explicit.masses)
+                math.fsum(values * explicit.weights)
                 for values in family.values_matrix(explicit.points.rows)
             ]
         )
@@ -294,7 +310,7 @@ class TestExactStatistics:
         )
         assert np.array_equal(
             exact_statistics(population, family),
-            oracle.weighted_sums(family, population.points.rows, population.masses),
+            oracle.weighted_sums(family, population.points.rows, population.weights),
         )
 
 
@@ -355,6 +371,21 @@ class TestParseDistributionSpec:
     )
     def test_each_line_is_checked_as_it_is_read(self, spec, message):
         with pytest.raises(ValueError, match=f"^{message}"):
+            parse_distribution_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("product\n٠.٥,0_0.5\n", "expected comma-separated probabilities"),
+            ("product\n0.5,0.5\u2003\n", "expected comma-separated probabilities"),
+            ("product\n1_0e-1,0\n", "expected comma-separated probabilities"),
+            ("explicit 2\n0;٠.٥\n1;0.5\n", "expected 'point;mass'"),
+            ("explicit 2\n0;0.5\n1;0.5_0\n", "expected 'point;mass'"),
+        ],
+        ids=["non-ascii-digits", "em-space", "underscore", "mass-non-ascii", "mass-underscore"],
+    )
+    def test_reals_are_ascii_without_underscores(self, spec, message):
+        with pytest.raises(ValueError, match=f"^line [23]: {message}$"):
             parse_distribution_spec(spec)
 
     def test_points_allow_blanks_around_a_cell(self):

@@ -9,6 +9,7 @@ from dpsynth import (
     TestFunction,
     build_lp,
     evaluate_all,
+    exact_statistics,
     laplace_vector,
     marginal_family,
     privacy_check,
@@ -120,6 +121,8 @@ class TestSolveMinMax:
         assert solution.status == "optimal"
         assert solution.objective == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(solution.density.weights, [0.7, 0.3], atol=1e-12)
+        # The fitted density is a distribution like any other.
+        assert np.allclose(exact_statistics(solution.density, family), [1.0, 0.3], atol=1e-12)
 
     def test_unreachable_target_splits_the_gap(self):
         # best density puts all mass on the indicator point, leaving residual 0.5
@@ -138,6 +141,13 @@ class TestSolveMinMax:
         solution = solve_min_max(problem)
         assert solution.density.weights[0] == 1.0
         assert solution.objective == pytest.approx(0.4, abs=1e-12)
+
+    def test_repeated_support_point_rejected(self):
+        # build_lp merges repeated points; a hand-made problem must not repeat one
+        support = Dataset((2,), [[0], [0]])
+        problem = FitProblem(values=np.ones((1, 2)), targets=np.ones(1), support=support)
+        with pytest.raises(ValueError, match="^points must be distinct$"):
+            solve_min_max(problem)
 
     def test_matches_grid_oracle_on_random_instances(self):
         rng = np.random.default_rng(505)

@@ -87,6 +87,8 @@ class TestParseQuerySpec:
             parse_query_spec("# ok\nmargnals monotone d=1", (2, 2))
         with pytest.raises(ValueError, match="line 1: expected 'marginals"):
             parse_query_spec("marginals monotone", (2, 2))
+        with pytest.raises(ValueError, match="^line 1: expected 'marginals <kind> d=<int>'$"):
+            parse_query_spec("marginals monotone d=1,2", (2, 2))
         with pytest.raises(ValueError, match="line 1: kind must be"):
             parse_query_spec("marginals parity d=1", (2, 2))
         with pytest.raises(ValueError, match="line 1: d must be"):

@@ -6,7 +6,7 @@ import pytest
 
 from dpsynth import (
     Dataset,
-    FiniteDensity,
+    ExplicitDistribution,
     FitGateError,
     PipelineConfig,
     PrivacyGateError,
@@ -169,27 +169,27 @@ class TestValidateParams:
 class TestBootstrap:
     def test_determinism(self):
         support = Dataset((2, 2), [[0, 0], [1, 1]])
-        density = FiniteDensity(support, [0.5, 0.5])
+        density = ExplicitDistribution(support, [0.5, 0.5])
         a = bootstrap(density, 100, np.random.default_rng(1))
         b = bootstrap(density, 100, np.random.default_rng(1))
         assert a == b
 
     def test_point_mass(self):
         support = Dataset((3,), [[0], [2]])
-        density = FiniteDensity(support, [0.0, 1.0])
+        density = ExplicitDistribution(support, [0.0, 1.0])
         draws = bootstrap(density, 50, np.random.default_rng(2))
         assert (draws.rows == 2).all()
 
     def test_frequencies(self):
         support = Dataset((2,), [[0], [1]])
-        density = FiniteDensity(support, [0.25, 0.75])
+        density = ExplicitDistribution(support, [0.25, 0.75])
         draws = bootstrap(density, 20_000, np.random.default_rng(3))
         assert draws.rows.mean() == pytest.approx(0.75, abs=0.02)
 
     def test_never_draws_a_trailing_zero_weight_point(self):
         # ten weights of 0.1 sum to 1 exactly but accumulate to just under 1
         weights = [0.1] * 10 + [0.0]
-        density = FiniteDensity(Dataset((11,), [[i] for i in range(11)]), weights)
+        density = ExplicitDistribution(Dataset((11,), [[i] for i in range(11)]), weights)
         top = np.cumsum(weights)[-1]
         assert top < 1.0
 
@@ -202,7 +202,7 @@ class TestBootstrap:
 
     def test_count_validation(self):
         support = Dataset((2,), [[0]])
-        density = FiniteDensity(support, [1.0])
+        density = ExplicitDistribution(support, [1.0])
         with pytest.raises(ValueError, match="count must be >= 1"):
             bootstrap(density, 0, np.random.default_rng(0))
 
