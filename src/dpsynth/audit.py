@@ -209,6 +209,8 @@ def privacy_audit(
         raise ValueError("need trials >= 1 and bins >= 2")
     if len(queries) > 3:
         raise ValueError("histogram audit supports at most 3 statistics")
+    if bins ** len(queries) > 2 * trials:
+        raise ValueError("need bins**|F| <= 2*trials: no more cells than observations")
     if not (sigma > 0 and math.isfinite(sigma)):
         raise ValueError("sigma must be positive and finite")
     _check_neighbors(d1, d2)

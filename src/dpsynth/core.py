@@ -278,7 +278,12 @@ def _scan_line(line: str | bytes, error: str) -> np.ndarray:
 def _spec_lines(text: str) -> list[tuple[int, str]]:
     """(number, line) of each nonblank spec line, its ``#`` comment cut, spaces and tabs trimmed."""
     lines = (raw.split("#", 1)[0].strip(" \t") for raw in text.splitlines())
-    return [(n, line) for n, line in enumerate(lines, start=1) if line.strip()]
+    return [(n, line) for n, line in enumerate(lines, start=1) if line]
+
+
+def _spec_words(line: str) -> list[str]:
+    """The words of a spec line, split on runs of spaces and tabs only."""
+    return [word for word in line.replace("\t", " ").split(" ") if word]
 
 
 def _on_line(lineno: int, parse, *args):
@@ -481,17 +486,9 @@ class QueryFamily:
                 mask &= literals[column]
             yield mask
 
-    def _held(self, rows: np.ndarray) -> np.ndarray:
-        """(|F|, n): whether each conjunction holds on each row."""
-        return np.hstack([np.empty((len(self), 0), bool), *self._masks(rows)])
-
     def values_matrix(self, rows: np.ndarray) -> np.ndarray:
-        """(|F|, n) matrix of function values over the given rows."""
-        # Allocated before the masks: allocating it after them added 2-3 ms of
-        # page faults to each 200k-row CLI release.
-        out = np.empty((len(self), rows.shape[0]))
-        out[:] = self._held(rows)
-        return out
+        """(|F|, n) Boolean table: whether each conjunction holds on each row."""
+        return np.hstack([np.empty((len(self), 0), bool), *self._masks(rows)])
 
     def means(self, rows: np.ndarray) -> np.ndarray:
         """Mean of every function over n >= 1 rows: its exact count over n."""
@@ -501,7 +498,7 @@ class QueryFamily:
         """For every function, the compensated sum of the weights of the rows it
         holds on."""
         w = np.asarray(weights, dtype=float)
-        return np.array([math.fsum(w[held]) for held in self._held(rows)])
+        return np.array([math.fsum(w[held]) for held in self.values_matrix(rows)])
 
     def product_expectations(self, vectors: Sequence[np.ndarray]) -> np.ndarray:
         """Expectation of every function when coordinate c is drawn from

@@ -23,6 +23,7 @@ from .core import (
     _row_groups,
     _scan_line,
     _spec_lines,
+    _spec_words,
 )
 
 # Cap for enumerating a full product domain into an explicit distribution.
@@ -215,7 +216,7 @@ def exact_statistics(dist, queries: QueryFamily) -> np.ndarray:
 
 
 def _spec_header(line: str) -> tuple[str, tuple[int, ...] | None]:
-    kind, *args = line.split()
+    kind, *args = _spec_words(line)
     if kind == "product":
         if args:
             raise ValueError("'product' takes no arguments")

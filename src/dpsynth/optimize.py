@@ -27,7 +27,8 @@ REFACTOR_INTERVAL = 64
 
 @dataclass(frozen=True)
 class FitProblem:
-    """Dense fitting instance: values[j][i] = f_j(z_i) on merged support points."""
+    """Dense fitting instance: the LP's one float64 copy of values[j][i] = f_j(z_i)
+    on merged support points."""
 
     values: np.ndarray
     targets: np.ndarray
@@ -46,7 +47,7 @@ class FitProblem:
             raise ValueError("problem must have at least one function and one point")
         if not np.isfinite(a).all() or not np.isfinite(b).all():
             raise ValueError("values and targets must be finite")
-        if (np.abs(a) > 1.0 + PIVOT_TOL).any():
+        if (a > 1.0 + PIVOT_TOL).any() or (a < -1.0 - PIVOT_TOL).any():
             raise ValueError("function values must lie in [-1, 1]")
         a.setflags(write=False)
         b.setflags(write=False)
@@ -65,18 +66,13 @@ class FitSolution:
 def build_lp(
     queries: QueryFamily, reduced_domain: Dataset, noisy_targets
 ) -> FitProblem:
-    """Assemble the fitting instance; duplicate domain points share one variable."""
-    if len(reduced_domain) == 0:
-        raise ValueError("empty reduced domain")
-    targets = np.asarray(noisy_targets, dtype=float)
-    if targets.ndim != 1 or len(targets) != len(queries):
-        raise ValueError("need exactly one target per family function")
+    """Hand the kernel's Boolean table to FitProblem; duplicate domain points share one variable."""
     queries.check_schema(reduced_domain.schema)
     rows = reduced_domain.rows
     support = Dataset._adopt(reduced_domain.schema, rows[_first_occurrences(rows)])
     return FitProblem(
         values=queries.values_matrix(support.rows),
-        targets=targets,
+        targets=noisy_targets,
         support=support,
     )
 

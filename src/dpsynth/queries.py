@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Sequence
 
-from .core import QueryFamily, TestFunction, _on_line, _scan_line, _spec_lines
+from .core import QueryFamily, TestFunction, _on_line, _scan_line, _spec_lines, _spec_words
 
 
 def marginal_family(p: int, d: int, kind: str = "monotone") -> QueryFamily:
@@ -81,7 +81,7 @@ def parse_query_spec(text: str, schema: Sequence[int]) -> QueryFamily:
     schema = tuple(int(a) for a in schema)
     funcs: list[TestFunction] = []
     for lineno, line in _spec_lines(text):
-        for f in _on_line(lineno, _directive, line.split(), schema):
+        for f in _on_line(lineno, _directive, _spec_words(line), schema):
             if not (f.is_constant_one and any(g.is_constant_one for g in funcs)):
                 funcs.append(f)
     if not any(f.is_constant_one for f in funcs):

@@ -326,6 +326,14 @@ class TestPrivacyAudit:
         with pytest.raises(ValueError, match="not add-one neighbors"):
             privacy_audit(family, 0.1, d1, not_neighbor, 10, 4, np.random.default_rng(0))
 
+    def test_cells_must_not_outnumber_observations(self, neighbor_datasets):
+        d1, d2 = neighbor_datasets
+        family = QueryFamily([TestFunction.constant_one(), TestFunction.monotone((0,))])
+        rng = np.random.default_rng(0)
+        assert privacy_audit(family, 0.1, d1, d2, 8, 4, rng).bins == 4
+        with pytest.raises(ValueError, match=r"bins\*\*\|F\| <= 2\*trials"):
+            privacy_audit(family, 0.1, d1, d2, 7, 4, rng)
+
     def test_report_text(self, neighbor_datasets):
         d1, d2 = neighbor_datasets
         family = QueryFamily([TestFunction.monotone((0,))])

@@ -235,6 +235,20 @@ class TestAuditCommands:
         assert code == EXIT_USAGE
         assert "not add-one neighbors" in capsys.readouterr().err
 
+    def test_dp_rejects_more_cells_than_observations(self, tmp_path, capsys):
+        d1 = tmp_path / "d1.txt"
+        d1.write_text("2,2\n0,1\n1,0\n")
+        # |F| = 3 with the constant: 3e6**3 cells for 2,000 observations
+        code = main([
+            "audit", "dp", "--queries", "indicator S=1 values=1\nindicator S=2 values=1",
+            "--sigma", "0.2", "--d1", str(d1), "--d2", str(d1),
+            "--trials", "1000", "--bins", "3000000", "--seed", "15",
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "bins**|F| <= 2*trials" in err
+
     def test_dp_rejects_a_lone_carriage_return(self, tmp_path, capsys):
         d1 = tmp_path / "d1.txt"
         d1.write_bytes(b"2\n0\r0\n")

@@ -472,6 +472,12 @@ class TestQueryFamily:
         assert mat.shape == (3, 5)
         assert np.array_equal(mat[0], np.ones(5))
 
+    def test_values_matrix_is_a_boolean_table(self, small_family, small_dataset):
+        assert small_family.values_matrix(small_dataset.rows).dtype == bool
+        empty = small_family.values_matrix(small_dataset.rows[:0])
+        assert empty.dtype == bool
+        assert empty.shape == (3, 0)
+
     def test_check_schema_delegates(self, small_family):
         with pytest.raises(ValueError, match="Boolean coordinates"):
             small_family.check_schema((2, 3, 2))

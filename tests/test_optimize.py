@@ -15,7 +15,7 @@ from dpsynth import (
     privacy_check,
     solve_min_max,
 )
-from dpsynth.optimize import REFACTOR_INTERVAL
+from dpsynth.optimize import PIVOT_TOL, REFACTOR_INTERVAL
 from grid_oracle import grid_minimax, grid_minimax_dense
 
 
@@ -66,7 +66,7 @@ class TestBuildLp:
 
     def test_empty_domain_rejected(self):
         family = QueryFamily([TestFunction.constant_one()])
-        with pytest.raises(ValueError, match="empty reduced domain"):
+        with pytest.raises(ValueError, match="at least one function and one point"):
             build_lp(family, Dataset((2,), []), [1.0])
 
     def test_target_length_checked(self):
@@ -83,12 +83,29 @@ class TestBuildLp:
         problem = build_lp(family, domain, [1.0, 0.3])
         assert problem.values.tolist() == [[1.0, 1.0], [0.0, 1.0]]
 
+    def test_values_are_the_float_copy_of_the_boolean_table(self):
+        family = marginal_family(4, 2)
+        domain = ProductDistribution.uniform((2,) * 4).sample(40, 3)
+        problem = build_lp(family, domain, np.zeros(len(family)))
+        assert problem.values.dtype == np.float64
+        assert np.array_equal(problem.values, family.values_matrix(problem.support.rows))
+
 
 class TestFitProblemValidation:
     def test_value_range(self):
         support = Dataset((2,), [[0]])
         with pytest.raises(ValueError, match=r"lie in \[-1, 1\]"):
             FitProblem(values=np.array([[1.5]]), targets=np.array([0.0]), support=support)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_value_range_boundary(self, sign):
+        support = Dataset((2,), [[0]])
+        limit = sign * (1.0 + PIVOT_TOL)
+        at = FitProblem(values=np.array([[limit]]), targets=np.array([0.0]), support=support)
+        assert at.values[0, 0] == limit
+        beyond = np.nextafter(limit, sign * np.inf)
+        with pytest.raises(ValueError, match=r"lie in \[-1, 1\]"):
+            FitProblem(values=np.array([[beyond]]), targets=np.array([0.0]), support=support)
 
     def test_finite(self):
         support = Dataset((2,), [[0]])

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from dpsynth import marginal_family, parse_query_spec
+from dpsynth import marginal_family, parse_distribution_spec, parse_query_spec
 
 
 class TestMarginalFamily:
@@ -114,6 +114,25 @@ class TestParseQuerySpec:
         # A sign, an underscore, a non-ASCII digit or a fraction is not a cell.
         with pytest.raises(ValueError, match="^line 1: (S|values|d) must be comma-separated integers$"):
             parse_query_spec(text, (2, 2))
+
+    @pytest.mark.parametrize(
+        "parse, gap, rest, message",
+        [
+            (parse_query_spec, "\u3000", "indicator S=1{}values=0", "expected 'indicator S="),
+            (parse_query_spec, "\x1f", "marginals{}monotone d=1", "unknown directive"),
+            (parse_distribution_spec, "\xa0", "explicit{}2\n0;1", "unknown distribution kind"),
+            (parse_query_spec, "\u3000", "{}\nmarginals monotone d=1", "unknown directive"),
+        ],
+        ids=["ideographic-space", "unit-separator", "no-break-space", "whitespace-only-line"],
+    )
+    def test_spec_words_split_on_spaces_and_tabs_only(self, parse, gap, rest, message):
+        def run(separator):
+            text = rest.format(separator)
+            return parse(text, (2, 2)) if parse is parse_query_spec else parse(text)
+
+        with pytest.raises(ValueError, match=f"^line 1: {message}"):
+            run(gap)
+        assert run(" \t ") is not None
 
     def test_marginal_order_beyond_dimension(self):
         with pytest.raises(ValueError, match="line 1: .*0 <= d <= p"):
