@@ -38,11 +38,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_text(spec: str) -> str:
-    """Treat the argument as a path when one exists, inline text otherwise."""
+    """The UTF-8 text of the file at this path, newlines untranslated; else the argument itself."""
     path = Path(spec)
     try:
         if path.is_file():
-            return path.read_text()
+            return path.read_bytes().decode()
     except OSError:
         pass
     return spec

@@ -276,8 +276,9 @@ def _scan_line(line: str | bytes, error: str) -> np.ndarray:
 
 
 def _spec_lines(text: str) -> list[tuple[int, str]]:
-    """(number, line) of each nonblank spec line, its ``#`` comment cut, spaces and tabs trimmed."""
-    lines = (raw.split("#", 1)[0].strip(" \t") for raw in text.splitlines())
+    r"""(number, line) of each nonblank spec line, its ``#`` comment cut, spaces and tabs
+    trimmed. Lines end in ``\n`` or ``\r\n``, as dataset lines do."""
+    lines = (raw.removesuffix("\r").split("#", 1)[0].strip(" \t") for raw in text.split("\n"))
     return [(n, line) for n, line in enumerate(lines, start=1) if line]
 
 
@@ -312,13 +313,6 @@ def _render_block(rows: np.ndarray) -> bytes:
     if digits > 1:
         flat = flat[flat != 0]
     return flat.tobytes()
-
-
-def _domain_size(schema: Sequence[int]) -> int:
-    size = 1
-    for a in schema:
-        size *= int(a)
-    return size
 
 
 def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

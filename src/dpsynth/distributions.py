@@ -16,7 +16,6 @@ from .core import (
     Dataset,
     QueryFamily,
     _check_schema,
-    _domain_size,
     _first_occurrences,
     _on_line,
     _row_dtype,
@@ -25,9 +24,6 @@ from .core import (
     _spec_lines,
     _spec_words,
 )
-
-# Cap for enumerating a full product domain into an explicit distribution.
-ENUMERATION_CAP = 1 << 20
 
 
 def _check_masses(masses: np.ndarray, name: str, whole: bool = True) -> np.ndarray:
@@ -96,14 +92,6 @@ class ProductDistribution:
             rows[:, c] = _inverse_cdf_sample(v, count, rng)
         return Dataset._adopt(schema, rows)
 
-    def to_explicit(self) -> "ExplicitDistribution":
-        """Enumerate the full domain (small domains only)."""
-        schema = self.schema
-        if _domain_size(schema) > ENUMERATION_CAP:
-            raise ValueError("domain too large to enumerate")
-        rows = np.indices(schema, dtype=_row_dtype(schema)).reshape(len(schema), -1).T.copy()
-        return ExplicitDistribution(Dataset._adopt(schema, rows), self.mass_many(rows))
-
 
 class ExplicitDistribution:
     """Distribution given by an explicit list of distinct points and their weights (masses)."""
@@ -155,39 +143,43 @@ class ExplicitDistribution:
 
 
 def renyi_condition_number_exact(population, sampling) -> float:
-    """Exact kappa(population || sampling) over a finite domain.
+    """Exact kappa(population || sampling), summed over the support one of them lists.
 
     Raises ValueError("nu not dominated by mu") when the population puts mass
     where the sampling distribution has none.
     """
-    if isinstance(population, ProductDistribution) and isinstance(sampling, ProductDistribution):
-        if population.schema != sampling.schema:
-            raise ValueError("distributions must share a schema")
-        # Multiply per-coordinate factors in log space.
-        log_total = 0.0
-        for pv, qv in zip(
-            population.coordinate_probabilities, sampling.coordinate_probabilities
-        ):
-            if ((qv == 0) & (pv > 0)).any():
-                raise ValueError("nu not dominated by mu")
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = np.where(pv > 0, pv * pv / qv, 0.0)
-            log_total += math.log(math.fsum(terms))
-        return math.exp(log_total)
-    if isinstance(population, ProductDistribution):
-        population = population.to_explicit()
-    elif not isinstance(population, ExplicitDistribution):
+    product = isinstance(population, ProductDistribution)
+    if not (product or isinstance(population, ExplicitDistribution)):
         raise TypeError(f"unsupported distribution type: {type(population)!r}")
+    if product and not isinstance(sampling, (ProductDistribution, ExplicitDistribution)):
+        raise TypeError(f"unsupported distribution type: {type(sampling)!r}")
     if population.schema != sampling.schema:
         raise ValueError("distributions must share a schema")
-    p_mass = population.weights
-    q_mass = sampling.mass_many(population.points.rows)
-    live = p_mass > 0
-    if (q_mass[live] == 0).any():
+    if product and isinstance(sampling, ProductDistribution):
+        # Multiply per-coordinate factors in log space.
+        log_total = 0.0
+        for pv, qv in zip(population.coordinate_probabilities, sampling.coordinate_probabilities):
+            live = pv > 0
+            if (qv[live] == 0).any():
+                raise ValueError("nu not dominated by mu")
+            log_total += math.log(math.fsum(pv[live] * pv[live] / qv[live]))
+        return math.exp(log_total)
+    if product:
+        # Support membership per coordinate: the float product can underflow to 0 inside it.
+        rows, q = sampling.points.rows, sampling.weights
+        p = population.mass_many(rows)
+        live = np.ones(len(rows), dtype=bool)
+        for v, cells in zip(population.coordinate_probabilities, rows.T):
+            live &= v[cells] > 0
+        support = math.prod(np.count_nonzero(v) for v in population.coordinate_probabilities)
+    else:
+        p, q = population.weights, sampling.mass_many(population.points.rows)
+        live = p > 0
+        support = np.count_nonzero(live)
+    # Points are distinct: the count is the support's size when all of it has positive weight.
+    if np.count_nonzero(q[live] > 0) != support:
         raise ValueError("nu not dominated by mu")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(live, p_mass * p_mass / np.where(live, q_mass, 1.0), 0.0)
-    return float(math.fsum(terms))
+    return math.fsum(p[live] * p[live] / q[live])
 
 
 def renyi_condition_number_mc(population, sampling, samples: int, rng) -> float:

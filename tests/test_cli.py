@@ -1,11 +1,15 @@
 import functools
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dpsynth
 from dpsynth import Dataset, ProductDistribution, optimize, synth
 from dpsynth.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, build_parser, main
 
@@ -338,6 +342,52 @@ class TestKappaCommand:
         code = main(["kappa", "--nu", str(nu), "--mu", str(mu)])
         assert code == EXIT_USAGE
         assert "nu not dominated by mu" in capsys.readouterr().err
+
+
+    @pytest.fixture
+    def wide_pair(self, tmp_path):
+        """A 24-coordinate product nu whose support is the eight points on
+        its last three coordinates, and the uniform explicit mu on them."""
+        nu = tmp_path / "nu.txt"
+        nu.write_text("product\n" + "1,0\n" * 21 + "0.5,0.5\n" * 3)
+        points = ["0," * 21 + f"{i >> 2},{i >> 1 & 1},{i & 1};0.125\n" for i in range(8)]
+        mu = tmp_path / "mu.txt"
+        mu.write_text("explicit " + ",".join(["2"] * 24) + "\n" + "".join(points))
+        return str(nu), str(mu)
+
+    def test_wide_product_against_explicit(self, wide_pair, capsys):
+        nu, mu = wide_pair
+        code = main(["kappa", "--nu", nu, "--mu", mu])
+        assert (code, capsys.readouterr()) == (EXIT_OK, ("1.000000000\n", ""))
+        code = main([
+            "audit", "lemma4", "--nu", nu, "--mu", mu,
+            "--queries", "indicator S=24 values=1", "--m", "625",
+            "--delta", "0.2", "--gamma", "0.1", "--trials", "20", "--seed", "13",
+        ])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (EXIT_OK, "")
+        assert "lemma4_passed = true" in captured.out
+
+    def test_spec_file_lines_end_as_inline_lines(self, tmp_path, capsys):
+        text = "explicit 2\r0;1\n"
+        nu = tmp_path / "nu.txt"
+        nu.write_bytes(text.encode())
+        errors = []
+        for source in (text, str(nu)):
+            assert main(["kappa", "--nu", source, "--mu", "uniform 2"]) == EXIT_USAGE
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: line 1: arities must be comma-separated integers\n"] * 2
+
+    def test_spec_file_is_read_as_utf8_under_any_locale(self, tmp_path):
+        nu = tmp_path / "nu.txt"
+        nu.write_bytes("uniform 2  # caf\u00e9\n".encode())
+        env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": str(Path(dpsynth.__file__).parents[1])}
+        argv = ["kappa", "--nu", str(nu), "--mu", "uniform"]
+        done = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "dpsynth.cli", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, "1.000000000\n", "")
 
 
 class TestTopLevel:

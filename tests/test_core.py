@@ -21,7 +21,6 @@ import schema_oracle
 from dpsynth import core
 from dpsynth.core import (
     _TEXT_BLOCK,
-    _domain_size,
     _read_grid,
     _scan_block,
 )
@@ -360,12 +359,6 @@ class TestRowDtype:
             assert not data.rows.flags.writeable
             with pytest.raises(ValueError):
                 data.rows[0, 0] = 1
-
-
-class TestEncoding:
-    def test_domain_size(self):
-        assert _domain_size((2, 3, 4)) == 24
-        assert _domain_size((7,)) == 7
 
 
 def values(f, rows):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,12 @@ def skewed_pair():
     population = ExplicitDistribution(Dataset((2,), [[0], [1]]), [0.75, 0.25])
     sampling = ProductDistribution.uniform((2,))
     return population, sampling
+
+
+def enumerated(dist) -> ExplicitDistribution:
+    """A distribution as the explicit list of its whole domain (small schemas only)."""
+    points = Dataset(dist.schema, list(itertools.product(*map(range, dist.schema))))
+    return ExplicitDistribution(points, dist.mass_many(points.rows))
 
 
 def mass_at(dist, point) -> float:
@@ -79,13 +86,6 @@ class TestProductDistribution:
         with pytest.raises(ValueError, match="count must be >= 1"):
             ProductDistribution.uniform((2,)).sample(0, np.random.default_rng(0))
 
-    def test_to_explicit(self):
-        dist = ProductDistribution([[0.3, 0.7], [0.6, 0.4]])
-        explicit = dist.to_explicit()
-        assert len(explicit.points) == 4
-        assert math.fsum(explicit.weights) == pytest.approx(1.0, abs=1e-15)
-        assert mass_at(explicit, (1, 1)) == pytest.approx(0.28, rel=1e-15)
-
 
 class TestExplicitDistribution:
     def test_validation(self):
@@ -135,7 +135,7 @@ class TestExplicitDistribution:
     def test_mass_many_agrees_with_the_product_form(self, row, mass):
         product = ProductDistribution([[0.3, 0.7], [0.6, 0.4]])
         rows = np.array([row], dtype=np.int64)
-        got = [dist.mass_many(rows).tolist() for dist in (product, product.to_explicit())]
+        got = [dist.mass_many(rows).tolist() for dist in (product, enumerated(product))]
         assert got[0] == got[1] == pytest.approx([mass], abs=1e-15)
 
     def test_mass_off_support_is_zero(self):
@@ -215,7 +215,7 @@ class TestConditionNumber:
         fast = renyi_condition_number_exact(population, sampling)
         assert fast == pytest.approx(expected, rel=1e-14)
         # the explicit-enumeration path must agree with the product fast path
-        slow = renyi_condition_number_exact(population.to_explicit(), sampling)
+        slow = renyi_condition_number_exact(enumerated(population), sampling)
         assert fast == pytest.approx(slow, rel=1e-12)
 
     def test_at_least_one(self):
@@ -242,6 +242,81 @@ class TestConditionNumber:
             renyi_condition_number_exact(
                 ProductDistribution.uniform((2, 2)), ProductDistribution.uniform((2, 3))
             )
+
+    def test_product_against_explicit_equals_the_enumeration(self):
+        def verdict(population, sampling):
+            try:
+                return renyi_condition_number_exact(population, sampling)
+            except ValueError as exc:
+                return str(exc)
+
+        rng = np.random.default_rng(71)
+        verdicts = set()
+        for _ in range(300):
+            schema = tuple(rng.integers(1, 4, size=rng.integers(1, 4)).tolist())
+            # Zero-probability cells, and zero-weight points among mu's; the
+            # first cell and the first kept point are never zero.
+            raw = [rng.random(a) * (rng.random(a) > 0.3) + 1e-3 * (np.arange(a) == 0) for a in schema]
+            population = ProductDistribution([v / v.sum() for v in raw])
+            domain = enumerated(ProductDistribution.uniform(schema)).points.rows
+            keep = rng.permutation(len(domain))[: rng.integers(1, len(domain) + 1)]
+            weights = rng.random(len(keep)) * (rng.random(len(keep)) > 0.2)
+            weights[0] += 1e-3
+            sampling = ExplicitDistribution(Dataset(schema, domain[keep]), weights / weights.sum())
+            got = verdict(population, sampling)
+            assert got == verdict(enumerated(population), sampling)
+            verdicts.add(type(got))
+        assert verdicts == {float, str}
+
+    @staticmethod
+    def eight_point_support(p):
+        """A product population on p binary coordinates whose last three are
+        fair coins and the rest fixed at 0, and its eight support points."""
+        population = ProductDistribution([[1.0, 0.0]] * (p - 3) + [[0.5, 0.5]] * 3)
+        tails = list(itertools.product((0, 1), repeat=3))
+        return population, np.array([[0] * (p - 3) + list(t) for t in tails])
+
+    def test_product_against_explicit_without_enumerating(self):
+        population, points = self.eight_point_support(32)
+        uniform = ExplicitDistribution(Dataset((2,) * 32, points), np.full(8, 0.125))
+        assert renyi_condition_number_exact(population, uniform) == 1.0
+        # kappa = sum of (1/8)^2 / q over the eight points = (2+4+...+128+128)/64.
+        halving = [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125, 0.0078125]
+        off_support = np.ones((1, 32), dtype=np.int64)
+        skewed = ExplicitDistribution(
+            Dataset((2,) * 32, np.vstack([points, off_support])), halving + [0.0]
+        )
+        assert renyi_condition_number_exact(population, skewed) == 382 / 64
+
+    @pytest.mark.parametrize("drop", ["missing", "zero weight"])
+    def test_product_against_explicit_dominance_failure(self, drop):
+        population, points = self.eight_point_support(32)
+        weights = np.full(8, 0.125)
+        if drop == "missing":
+            points, weights = points[1:], np.full(7, 1 / 7)
+        else:
+            weights[:2] = [0.25, 0.0]
+        sampling = ExplicitDistribution(Dataset((2,) * 32, points), weights)
+        with pytest.raises(ValueError, match="^nu not dominated by mu$"):
+            renyi_condition_number_exact(population, sampling)
+
+    def test_support_survives_underflow(self):
+        # The point (1, 1) has mass 1e-400, which is 0.0 in floats, yet it
+        # lies in the population's support.
+        population = ProductDistribution([[1 - 1e-200, 1e-200]] * 2)
+        corners = Dataset((2, 2), [[0, 0], [0, 1], [1, 0], [1, 1]])
+        uniform = ExplicitDistribution(corners, [0.25] * 4)
+        assert renyi_condition_number_exact(population, uniform) == 4.0
+        three = ExplicitDistribution(Dataset((2, 2), corners.rows[:3]), [0.5, 0.25, 0.25])
+        with pytest.raises(ValueError, match="^nu not dominated by mu$"):
+            renyi_condition_number_exact(population, three)
+
+    def test_unsupported_types(self):
+        product = ProductDistribution.uniform((2,))
+        with pytest.raises(TypeError, match="^unsupported distribution type: <class 'str'>$"):
+            renyi_condition_number_exact("uniform 2", product)
+        with pytest.raises(TypeError, match="^unsupported distribution type: <class 'object'>$"):
+            renyi_condition_number_exact(product, object())
 
     def test_monte_carlo_identical_is_exactly_one(self):
         dist = ProductDistribution([[0.3, 0.7]])
@@ -286,7 +361,7 @@ class TestExactStatistics:
         raw = rng.random((3, 2)) + 0.1
         dist = ProductDistribution([row / row.sum() for row in raw])
         family = marginal_family(3, 3, "monotone")
-        explicit = dist.to_explicit()
+        explicit = enumerated(dist)
         brute = np.array(
             [
                 math.fsum(values * explicit.weights)

@@ -134,6 +134,33 @@ class TestParseQuerySpec:
             run(gap)
         assert run(" \t ") is not None
 
+    @pytest.mark.parametrize(
+        "brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"]
+    )
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (lambda text: parse_query_spec(text, (2, 2)),
+             "marginals monotone d=1{}indicator S=1 values=0", "expected 'marginals "),
+            (parse_distribution_spec, "product{}0.5,0.5", "unknown distribution kind"),
+            (parse_distribution_spec, "explicit 2{}0;1", "arities must be comma-separated"),
+        ],
+        ids=["query", "product", "explicit"],
+    )
+    def test_only_lf_and_crlf_end_spec_lines(self, parse, text, message, brk):
+        with pytest.raises(ValueError, match=f"^line 1: {message}"):
+            parse(text.format(brk))
+        assert parse(text.format("\r\n")) is not None
+
+    def test_crlf_lines_parse_as_lf_lines(self):
+        text = "marginals monotone d=1  # comment\n\nindicator S=1 values=0\n"
+        crlf = text.replace("\n", "\r\n")
+        assert len(parse_query_spec(crlf, (2, 2))) == len(parse_query_spec(text, (2, 2))) == 4
+        with pytest.raises(ValueError, match="^line 3: unknown directive"):
+            parse_query_spec(crlf.replace("indicator", "indicater"), (2, 2))
+        dist = parse_distribution_spec("explicit 2\r\n0;0.25\r\n1;0.75\r\n")
+        assert dist.weights.tolist() == [0.25, 0.75]
+
     def test_marginal_order_beyond_dimension(self):
         with pytest.raises(ValueError, match="line 1: .*0 <= d <= p"):
             parse_query_spec("marginals monotone d=3", (2, 2))
