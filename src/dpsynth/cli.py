@@ -37,14 +37,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return int(text)
+
+
 def _load_text(spec: str) -> str:
     """The UTF-8 text of the file at this path, newlines untranslated; else the argument itself."""
     path = Path(spec)
     try:
         if path.is_file():
-            return path.read_bytes().decode()
+            return (raw := path.read_bytes()).decode()
     except OSError:
         pass
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"line {line}: spec files must be UTF-8 text") from None
     return spec
 
 
@@ -153,7 +162,7 @@ _OPTIONS = {
     "bins": dict(type=int, required=True, help="histogram bins"),
     "slack": dict(type=float, default=DEFAULT_AUDIT_SLACK, help="allowed excess of epsilon_hat"),
     "mc": dict(type=int, default=None, help="Monte Carlo sample count (default: exact)"),
-    "seed": dict(type=int, required=True, help="random seed"),
+    "seed": dict(type=_seed, required=True, help="random seed"),
     "out": dict(required=True, help="synthetic dataset output path"),
     "allow-privacy-failure": dict(action="store_true", help="do not enforce the privacy gate"),
     "export-noisy-targets": dict(action="store_true", help="report the noisy statistics too"),
@@ -198,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     for option in ("nu", "mu", "mc"):
         kap.add_argument(f"--{option}", **_OPTIONS[option])
     # Optional here, as only --mc draws. kappa prints its value alone, to stdout.
-    kap.add_argument("--seed", type=int, default=None, help="random seed for --mc")
+    kap.add_argument("--seed", type=_OPTIONS["seed"]["type"], help="random seed for --mc")
     kap.set_defaults(func=_cmd_kappa, echo=[], report=None)
     return parser
 

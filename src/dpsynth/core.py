@@ -484,9 +484,19 @@ class QueryFamily:
         """(|F|, n) Boolean table: whether each conjunction holds on each row."""
         return np.hstack([np.empty((len(self), 0), bool), *self._masks(rows)])
 
-    def means(self, rows: np.ndarray) -> np.ndarray:
-        """Mean of every function over n >= 1 rows: its exact count over n."""
-        return sum(np.count_nonzero(m, axis=1) for m in self._masks(rows)) / rows.shape[0]
+    def _segment_counts(self, rows: np.ndarray, size: int) -> np.ndarray:
+        """Exact (|F|, n/size) counts of the rows each function holds on, per size-row segment."""
+        counts = np.zeros((len(self), rows.shape[0] // size), dtype=np.intp)
+        start = 0
+        for mask in self._masks(rows):
+            # The block starts in segment ``first``; the others start at the later offsets.
+            first = start // size
+            offsets = np.arange(first * size, start + mask.shape[1], size) - start
+            offsets[0] = 0
+            # int32 sums of a block are exact, and faster than intp's.
+            counts[:, first : first + len(offsets)] += np.add.reduceat(mask, offsets, 1, dtype=np.int32)
+            start += mask.shape[1]
+        return counts
 
     def weighted_sums(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """For every function, the compensated sum of the weights of the rows it
@@ -511,7 +521,7 @@ def evaluate_all(queries: QueryFamily, data: Dataset) -> np.ndarray:
     if len(data) == 0:
         raise ValueError("empty dataset")
     queries.check_schema(data.schema)
-    return queries.means(data.rows)
+    return queries._segment_counts(data.rows, len(data))[:, 0] / len(data)
 
 
 def accuracy_error(queries: QueryFamily, x: Dataset, y: Dataset) -> float:

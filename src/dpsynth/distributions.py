@@ -38,10 +38,10 @@ def _check_masses(masses: np.ndarray, name: str, whole: bool = True) -> np.ndarr
     return masses
 
 
-def _inverse_cdf_sample(masses: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count indices drawn i.i.d. with probabilities ``masses``, one uniform each."""
+def _inverse_cdf_sample(masses: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Indices drawn with probabilities ``masses``, one per uniform in ``u``, in its shape."""
     cdf = np.cumsum(masses)
-    idx = np.searchsorted(cdf, rng.random(count), side="right")
+    idx = np.searchsorted(cdf, u, side="right")
     # Masses sum to 1 only within rounding, so a uniform can land above the
     # CDF's last value; it must not hand out a trailing zero-mass index.
     return np.minimum(idx, np.flatnonzero(masses > 0)[-1])
@@ -81,16 +81,19 @@ class ProductDistribution:
             out *= np.where(inside, v[np.where(inside, cells, 0)], 0.0)
         return out
 
-    def sample(self, count: int, rng) -> Dataset:
+    def _draw(self, trials: int, count: int, rng) -> np.ndarray:
+        """(trials, count, p) rows, as ``trials`` successive ``sample(count)`` draw them."""
         if count < 1:
             raise ValueError("sample count must be >= 1")
-        rng = np.random.default_rng(rng)
-        schema = self.schema
-        rows = np.empty((count, len(schema)), dtype=_row_dtype(schema))
-        # Each column's draws index its own probability vector, so lie below its arity.
+        u = np.random.default_rng(rng).random((trials, len(self._vectors), count))
+        rows = np.empty((trials, count, len(self._vectors)), dtype=_row_dtype(self.schema))
+        # A trial's uniforms run coordinate by coordinate; column c's draws lie below its arity.
         for c, v in enumerate(self._vectors):
-            rows[:, c] = _inverse_cdf_sample(v, count, rng)
-        return Dataset._adopt(schema, rows)
+            rows[:, :, c] = _inverse_cdf_sample(v, u[:, c])
+        return rows
+
+    def sample(self, count: int, rng) -> Dataset:
+        return Dataset._adopt(self.schema, self._draw(1, count, rng)[0])
 
 
 class ExplicitDistribution:
@@ -134,12 +137,15 @@ class ExplicitDistribution:
         out[order[~is_point] - points] = group_mass[group[~is_point]]
         return out
 
-    def sample(self, count: int, rng) -> Dataset:
+    def _draw(self, trials: int, count: int, rng) -> np.ndarray:
+        """(trials, count, p) rows, as ``trials`` successive ``sample(count)`` draw them."""
         if count < 1:
             raise ValueError("sample count must be >= 1")
-        rng = np.random.default_rng(rng)
-        idx = _inverse_cdf_sample(self._weights, count, rng)
-        return Dataset._adopt(self.schema, self._points.rows[idx])
+        u = np.random.default_rng(rng).random((trials, count))
+        return self._points.rows[_inverse_cdf_sample(self._weights, u)]
+
+    def sample(self, count: int, rng) -> Dataset:
+        return Dataset._adopt(self.schema, self._draw(1, count, rng)[0])
 
 
 def renyi_condition_number_exact(population, sampling) -> float:
@@ -188,7 +194,6 @@ def renyi_condition_number_mc(population, sampling, samples: int, rng) -> float:
         raise ValueError("samples must be >= 1")
     if population.schema != sampling.schema:
         raise ValueError("distributions must share a schema")
-    rng = np.random.default_rng(rng)
     draws = population.sample(samples, rng)
     p_mass = population.mass_many(draws.rows)
     q_mass = sampling.mass_many(draws.rows)

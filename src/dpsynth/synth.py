@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import Dataset, QueryFamily, evaluate_all
-from .distributions import ExplicitDistribution, _inverse_cdf_sample
+from .distributions import ExplicitDistribution
 from .mechanism import laplace_vector, privacy_check
 from .optimize import build_lp, solve_min_max
 
@@ -58,10 +58,8 @@ def bootstrap(density: ExplicitDistribution, count: int, rng) -> Dataset:
     """Draw count records i.i.d. from a finite density, such as the fitted one."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    # Its own draw, not density.sample: bootstrap and domain sampling are two layers.
-    idx = _inverse_cdf_sample(density.weights, count, np.random.default_rng(rng))
-    # A gather from the validated points needs no second check or copy.
-    return Dataset._adopt(density.schema, density.points.rows[idx])
+    # Not density.sample: bootstrap and domain sampling are two layers.
+    return Dataset._adopt(density.schema, density._draw(1, count, rng)[0])
 
 
 def _fmt(value) -> str:
@@ -156,17 +154,13 @@ def generate(
     noise_seq, domain_seq, boot_seq = seed_root.spawn(3)
 
     exact_stats = evaluate_all(queries, data)  # the single read of the data
-    noisy = exact_stats + laplace_vector(
-        ledger.sigma, len(exact_stats), np.random.default_rng(noise_seq)
-    )
-    reduced = sampling.sample(config.reduced_size, np.random.default_rng(domain_seq))
+    noisy = exact_stats + laplace_vector(ledger.sigma, len(exact_stats), noise_seq)
+    reduced = sampling.sample(config.reduced_size, domain_seq)
     problem = build_lp(queries, reduced, noisy)
     solution = solve_min_max(problem)
     if solution.status != "optimal":
         raise FitGateError(f"min-max fit stopped: {solution.status} after {solution.iterations} pivots")
-    synthetic = bootstrap(
-        solution.density, config.synthetic_size, np.random.default_rng(boot_seq)
-    )
+    synthetic = bootstrap(solution.density, config.synthetic_size, boot_seq)
 
     report = PipelineReport(
         sigma=ledger.sigma,

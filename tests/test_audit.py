@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -90,8 +91,8 @@ class TestReweightedMeasure:
         points = Dataset((2,), [[0], [1]])
 
         class OffSupport(ExplicitDistribution):
-            def sample(self, count, rng):
-                return Dataset((2,), [[1]] * count)
+            def _draw(self, trials, count, rng):
+                return np.ones((trials, count, 1), dtype=np.uint8)
 
         population = ExplicitDistribution(points, [1.0, 0.0])
         family = QueryFamily([TestFunction.constant_one()])
@@ -221,6 +222,59 @@ class TestReweightedDeviationCheck:
         assert "lemma4_failure_rate = " in text
         assert "mean_r = " in text
         assert "lemma4_passed = " in text
+
+
+class TestTrialBlocks:
+    """The audits draw and evaluate their trials a block at a time; each
+    result equals that of one trial at a time from the same generator."""
+
+    def test_deviation_check_equals_one_trial_at_a_time(self):
+        # 8 trials of 100 rows per block at p = 24 and |F| = 301: 19 is not a multiple.
+        population = ProductDistribution.uniform((2,) * 24)
+        family = marginal_family(24, 2, "monotone")
+        result = deviation_check_empirical(population, family, 100, 0.14, 0.1, 19, 31)
+        rng = np.random.default_rng(31)
+        exact = exact_statistics(population, family)
+        failures = sum(
+            np.max(np.abs(evaluate_all(family, population.sample(100, rng)) - exact)) > 0.14
+            for _ in range(19)
+        )
+        assert 0 < failures < 19
+        assert result.failure_rate == failures / 19
+
+    def test_reweighted_check_equals_one_trial_at_a_time(self, two_point_pair):
+        # 209 trials of 625 draws per block at |F| = 2: 420 is not a multiple.
+        population, sampling, family = two_point_pair
+        result = reweighted_deviation_check(
+            population, sampling, family, 625, 0.03, 0.1, 420, 32
+        )
+        rng = np.random.default_rng(32)
+        exact = exact_statistics(population, family)
+        failures, masses = 0, []
+        for _ in range(420):
+            rows = sampling.sample(625, rng).rows
+            weights = population.mass_many(rows) / sampling.mass_many(rows) / 625
+            failures += np.max(np.abs(family.weighted_sums(rows, weights) - exact)) > 0.03
+            masses.append(math.fsum(weights))
+        assert 0 < failures < 420
+        assert result.failure_rate == failures / 420
+        assert result.mean_r == math.fsum(masses) / 420
+
+    def test_sample_count_is_checked_after_the_other_inputs(self, two_point_pair):
+        population, sampling, family = two_point_pair
+        point = ExplicitDistribution(population.points, [1.0, 0.0])
+        deviation = functools.partial(deviation_check_empirical, sampling, family, rng=0)
+        reweighted = functools.partial(reweighted_deviation_check, rng=0)
+        cases = [
+            (lambda: deviation(0, 0.2, 0.1, 0), "^trials must be >= 1$"),
+            (lambda: deviation(0, -0.2, 0.1, 5), "^delta_target must be positive"),
+            (lambda: deviation(0, 0.2, 0.1, 5), "^sample count must be >= 1$"),
+            (lambda: reweighted(population, point, family, 0, 0.2, 0.1, 5), "^nu not dominated"),
+            (lambda: reweighted(population, sampling, family, 0, 0.2, 0.1, 5), "^sample count"),
+        ]
+        for call, message in cases:
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestNeighborCheck:

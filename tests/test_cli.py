@@ -389,6 +389,12 @@ class TestKappaCommand:
         )
         assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, "1.000000000\n", "")
 
+    def test_spec_file_that_is_not_utf8_names_its_line(self, tmp_path, capsys):
+        nu = tmp_path / "nu.txt"
+        nu.write_bytes(b"uniform 2\n# \xff\n")
+        assert main(["kappa", "--nu", str(nu), "--mu", "uniform 2"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: line 2: spec files must be UTF-8 text\n"
+
 
 class TestTopLevel:
     def test_no_arguments(self, capsys):
@@ -531,3 +537,67 @@ def test_full_report_bytes_are_pinned(run, data_file, two_point_nu_file, tmp_pat
     assert (code, captured.err) == (EXIT_GATE if run == "dp" else EXIT_OK, "")
     report = captured.out.replace(str(tmp_path), "<tmp>")
     assert report == (PINNED_REPORTS / f"{run}.txt").read_text()
+
+
+# Runs of several trial blocks, pinned from the one-trial-at-a-time loops:
+# lemma3 draws 30 trials of 100 rows at p = 24 in blocks of 8, lemma4 1,000
+# trials of 625 draws in blocks of 209, and dp bins two statistics of two
+# neighbouring datasets, so its cells are two-dimensional. Each run's exit
+# code comes first; the two deviation runs fail in about a third of trials.
+MULTI_BLOCK_RUNS = {
+    "lemma3-blocks": (EXIT_GATE, [
+        "audit", "lemma3", "--nu", "uniform " + ",".join(["2"] * 24),
+        "--queries", "marginals monotone d=2", "--n", "100", "--delta", "0.14",
+        "--gamma", "0.1", "--trials", "30", "--seed", "21",
+    ]),
+    "lemma4-blocks": (EXIT_GATE, [
+        "audit", "lemma4", "--nu", "{nu}", "--mu", "uniform 2",
+        "--queries", "indicator S=1 values=0", "--m", "625", "--delta", "0.03",
+        "--gamma", "0.1", "--trials", "1000", "--seed", "22",
+    ]),
+    "dp-neighbors": (EXIT_OK, [
+        "audit", "dp", "--queries", "indicator S=1 values=1", "--sigma", "0.5",
+        "--d1", "{data}", "--d2", "{neighbor}", "--trials", "20000", "--bins", "4",
+        "--seed", "23",
+    ]),
+}
+
+
+@pytest.mark.parametrize("run", sorted(MULTI_BLOCK_RUNS))
+def test_multi_block_report_bytes_are_pinned(
+    run, data_file, two_point_nu_file, tmp_path, capsys
+):
+    neighbor = tmp_path / "neighbor.txt"
+    neighbor.write_bytes(data_file.read_bytes() + b"1,0,1,0,1\n")
+    fill = {"data": data_file, "nu": two_point_nu_file, "neighbor": neighbor}
+    expected_code, argv = MULTI_BLOCK_RUNS[run]
+    code = main([arg.format(**fill) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (expected_code, "")
+    report = captured.out.replace(str(tmp_path), "<tmp>")
+    assert report == (PINNED_REPORTS / f"{run}.txt").read_text()
+
+
+def test_query_file_that_is_not_utf8_names_its_line(tmp_path, capsys):
+    queries = tmp_path / "queries.txt"
+    queries.write_bytes(b"marginals monotone d=1\n\n# caf\xe9\n")
+    argv = [arg.replace("marginals monotone d=1", str(queries)) for arg in PINNED_RUNS["lemma3"]]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: line 3: spec files must be UTF-8 text\n"
+
+
+SEEDED_RUNS = {
+    **{run: PINNED_RUNS[run] for run in ("generate", "lemma3", "lemma4", "dp", "corollary")},
+    "kappa": ["kappa", "--nu", "{nu}", "--mu", "uniform 2", "--mc", "100", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("run", sorted(SEEDED_RUNS))
+def test_negative_seed_is_a_usage_error(run, data_file, two_point_nu_file, tmp_path, capsys):
+    fill = {"data": data_file, "nu": two_point_nu_file, "out": tmp_path / "synthetic.txt"}
+    argv = [arg.format(**fill) for arg in SEEDED_RUNS[run]]
+    argv[argv.index("--seed") + 1] = "-1"
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --seed: must be a non-negative integer\n")
+    assert not (tmp_path / "synthetic.txt").exists()

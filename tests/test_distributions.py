@@ -193,6 +193,39 @@ class TestInverseCdfSampling:
         assert (draws.rows == 1).all()
 
 
+def random_product(rng):
+    """Random coordinates; the first ends in a zero-mass cell."""
+    vectors = [rng.random(int(a)) for a in rng.integers(1, 5, size=6)]
+    vectors[0] = np.append(vectors[0], 0.0)
+    return ProductDistribution([v / v.sum() for v in vectors])
+
+
+def random_explicit(rng):
+    """Random distinct points, a third of them with zero weight, the last among them."""
+    schema = (3, 4, 2)
+    codes = rng.choice(24, size=9, replace=False)
+    points = np.stack(np.unravel_index(codes, schema), axis=1)
+    weights = rng.random(9) * (np.arange(9) % 3 != 2)
+    return ExplicitDistribution(Dataset(schema, points), weights / weights.sum())
+
+
+class TestBatchedDraws:
+    """A block of trials is drawn from the same stream as successive samples."""
+
+    @pytest.mark.parametrize("make", [random_product, random_explicit])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_blocks_equal_successive_samples(self, make, seed):
+        dist = make(np.random.default_rng(seed))
+        rng = np.random.default_rng(100 + seed)
+        # Blocks of unequal sizes, as the audits' last block may be.
+        blocks = np.concatenate([dist._draw(trials, 13, rng) for trials in (3, 4, 1)])
+        rng = np.random.default_rng(100 + seed)
+        successive = np.stack([dist.sample(13, rng).rows for _ in range(8)])
+        assert blocks.dtype == successive.dtype
+        assert np.array_equal(blocks, successive)
+        assert dist.mass_many(blocks.reshape(-1, len(dist.schema))).all()
+
+
 class TestConditionNumber:
     def test_identical_distributions_give_one(self):
         uniform = ProductDistribution.uniform((2, 2, 2))

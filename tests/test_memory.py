@@ -19,9 +19,12 @@ from dpsynth import (
     TestFunction,
     bootstrap,
     build_lp,
+    deviation_check_empirical,
     marginal_family,
     privacy_audit,
+    reweighted_deviation_check,
 )
+from dpsynth.core import _STATS_BLOCK
 
 N, P = 200_000, 32
 MB = 1e6
@@ -62,6 +65,39 @@ def test_privacy_audit_peak_at_a_million_trials():
     # Measured 33.2 MB: both 8 MB draw arrays plus the 16 MB concatenation
     # that the bin edges are taken from in place.
     assert peak <= 40 * MB
+
+
+def peaks_at_base_and_forty_times(audit, base: int) -> tuple[float, float]:
+    """The traced peaks of ``audit(trials)`` at ``base`` and at 40 * ``base`` trials,
+    after one untraced warm-up run."""
+    audit(base)
+    return traced_peak(lambda: audit(base)), traced_peak(lambda: audit(40 * base))
+
+
+def test_deviation_check_peak_does_not_grow_with_trials():
+    population = ProductDistribution.uniform((2,) * 24)
+    family = marginal_family(24, 2, "monotone")
+    n = 100
+    block = _STATS_BLOCK // (n * len(family))  # trials per block; the base fills one
+    base, forty = peaks_at_base_and_forty_times(
+        lambda trials: deviation_check_empirical(population, family, n, 0.2, 0.1, trials, 3),
+        block,
+    )
+    assert abs(forty - base) <= 1 * MB
+
+
+def test_reweighted_check_peak_does_not_grow_with_trials():
+    # 64 coordinates make a block 6 trials of 625 draws, so few weights are summed.
+    uniform = ProductDistribution.uniform((2,) * 64)
+    family = QueryFamily([TestFunction.constant_one(), TestFunction.assignment((0,), (0,))])
+    m = 625
+    block = _STATS_BLOCK // (m * 64)  # trials per block; the base fills one
+    base, forty = peaks_at_base_and_forty_times(
+        lambda trials: reweighted_deviation_check(uniform, uniform, family, m, 0.2, 0.1, trials, 4),
+        block,
+    )
+    # The per-trial masses, 32 bytes each, are the only state that grows.
+    assert abs(forty - base) <= 1 * MB
 
 
 def test_build_lp_peak_is_one_float_copy_of_the_table():
