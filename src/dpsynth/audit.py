@@ -144,13 +144,12 @@ def reweighted_deviation_check(
             raise ValueError("draws must lie in the sampling distribution's support")
         weights = population.mass_many(rows) / den / m
         held = queries.values_matrix(rows)
-        # weighted_sums' fsums, per trial; fsum reads a list faster, to the same sum.
-        for start in range(0, len(rows), m):
-            w, trial_held = weights[start : start + m], held[:, start : start + m]
-            stats = np.array([math.fsum(w[h].tolist()) for h in trial_held])
+        for start in range(0, len(rows), m):  # weighted_sums, per trial
+            trial = slice(start, start + m)
+            stats = queries._held_sums(held[:, trial], weights[trial])
             failures += int(np.max(np.abs(stats - exact)) > delta)
-            masses.append(math.fsum(w.tolist()))
-        del rows, den, weights, held, w, trial_held  # before the next block is drawn
+            masses.append(math.fsum(weights[trial].tolist()))
+        del rows, den, weights, held  # before the next block is drawn
     failure_rate = failures / trials
     mean_r = math.fsum(masses) / trials
     gate = _binomial_gate(gamma, trials)

@@ -501,8 +501,13 @@ class QueryFamily:
     def weighted_sums(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """For every function, the compensated sum of the weights of the rows it
         holds on."""
-        w = np.asarray(weights, dtype=float)
-        return np.array([math.fsum(w[held]) for held in self.values_matrix(rows)])
+        return self._held_sums(self.values_matrix(rows), np.asarray(weights, dtype=float))
+
+    @staticmethod
+    def _held_sums(held: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """For each row of a (|F|, n) Boolean table, the compensated sum of the n
+        weights where it holds; fsum reads a list faster than an array, to the same sum."""
+        return np.array([math.fsum(weights[h].tolist()) for h in held])
 
     def product_expectations(self, vectors: Sequence[np.ndarray]) -> np.ndarray:
         """Expectation of every function when coordinate c is drawn from

@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    _STATS_BLOCK,
     Dataset,
     QueryFamily,
     _check_schema,
@@ -44,7 +45,7 @@ def _inverse_cdf_sample(masses: np.ndarray, u: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(cdf, u, side="right")
     # Masses sum to 1 only within rounding, so a uniform can land above the
     # CDF's last value; it must not hand out a trailing zero-mass index.
-    return np.minimum(idx, np.flatnonzero(masses > 0)[-1])
+    return np.minimum(idx, np.flatnonzero(masses > 0)[-1], out=idx)
 
 
 class ProductDistribution:
@@ -85,11 +86,19 @@ class ProductDistribution:
         """(trials, count, p) rows, as ``trials`` successive ``sample(count)`` draw them."""
         if count < 1:
             raise ValueError("sample count must be >= 1")
-        u = np.random.default_rng(rng).random((trials, len(self._vectors), count))
-        rows = np.empty((trials, count, len(self._vectors)), dtype=_row_dtype(self.schema))
-        # A trial's uniforms run coordinate by coordinate; column c's draws lie below its arity.
-        for c, v in enumerate(self._vectors):
-            rows[:, :, c] = _inverse_cdf_sample(v, u[:, c])
+        rng, p = np.random.default_rng(rng), len(self._vectors)
+        rows = np.empty((trials, count, p), dtype=_row_dtype(self.schema))
+        # The stream is trials * p runs of count uniforms, a trial's coordinate by
+        # coordinate; a chunk of about _STATS_BLOCK of them bounds the floats held.
+        step = max(1, _STATS_BLOCK // count)
+        for start in range(0, trials * p, step):
+            u = rng.random((min(step, trials * p - start), count))
+            for i in range(min(p, len(u))):
+                # Run start + i is coordinate c of trial t; every p-th run after it is c's.
+                t, c = divmod(start + i, p)
+                runs = u[i::p]
+                # Column c's draws lie below its arity.
+                rows[t : t + len(runs), :, c] = _inverse_cdf_sample(self._vectors[c], runs)
         return rows
 
     def sample(self, count: int, rng) -> Dataset:
@@ -194,6 +203,7 @@ def renyi_condition_number_mc(population, sampling, samples: int, rng) -> float:
         raise ValueError("samples must be >= 1")
     if population.schema != sampling.schema:
         raise ValueError("distributions must share a schema")
+    rng = np.random.default_rng(rng)
     draws = population.sample(samples, rng)
     p_mass = population.mass_many(draws.rows)
     q_mass = sampling.mass_many(draws.rows)

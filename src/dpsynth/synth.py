@@ -58,8 +58,7 @@ def bootstrap(density: ExplicitDistribution, count: int, rng) -> Dataset:
     """Draw count records i.i.d. from a finite density, such as the fitted one."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    # Not density.sample: bootstrap and domain sampling are two layers.
-    return Dataset._adopt(density.schema, density._draw(1, count, rng)[0])
+    return density.sample(count, rng)
 
 
 def _fmt(value) -> str:
@@ -154,13 +153,17 @@ def generate(
     noise_seq, domain_seq, boot_seq = seed_root.spawn(3)
 
     exact_stats = evaluate_all(queries, data)  # the single read of the data
-    noisy = exact_stats + laplace_vector(ledger.sigma, len(exact_stats), noise_seq)
-    reduced = sampling.sample(config.reduced_size, domain_seq)
+    noisy = exact_stats + laplace_vector(
+        ledger.sigma, len(exact_stats), np.random.default_rng(noise_seq)
+    )
+    reduced = sampling.sample(config.reduced_size, np.random.default_rng(domain_seq))
     problem = build_lp(queries, reduced, noisy)
     solution = solve_min_max(problem)
     if solution.status != "optimal":
         raise FitGateError(f"min-max fit stopped: {solution.status} after {solution.iterations} pivots")
-    synthetic = bootstrap(solution.density, config.synthetic_size, boot_seq)
+    synthetic = bootstrap(
+        solution.density, config.synthetic_size, np.random.default_rng(boot_seq)
+    )
 
     report = PipelineReport(
         sigma=ledger.sigma,

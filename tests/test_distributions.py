@@ -17,6 +17,7 @@ from dpsynth import (
     renyi_condition_number_exact,
     renyi_condition_number_mc,
 )
+from dpsynth.core import _STATS_BLOCK
 
 
 @pytest.fixture
@@ -224,6 +225,20 @@ class TestBatchedDraws:
         assert blocks.dtype == successive.dtype
         assert np.array_equal(blocks, successive)
         assert dist.mass_many(blocks.reshape(-1, len(dist.schema))).all()
+
+    @pytest.mark.parametrize("count", [_STATS_BLOCK // 4, _STATS_BLOCK // 2, _STATS_BLOCK + 1])
+    def test_uniforms_drawn_in_chunks_keep_the_stream(self, count):
+        # Chunks of 4, 2 and 1 runs of count uniforms: they split trials
+        # part-way through their coordinates, as 3 coordinates do not divide 4 or 2.
+        dist = ProductDistribution([[0.2, 0.8, 0.0], [0.5, 0.5], [0.1, 0.3, 0.6]])
+        rng = np.random.default_rng(7)
+        block = dist._draw(3, count, rng)
+        rng = np.random.default_rng(7)
+        successive = np.stack([dist.sample(count, rng).rows for _ in range(3)])
+        assert np.array_equal(block, successive)
+        rng = np.random.default_rng(7)
+        u = rng.random((3, 3, count))  # trial by trial, coordinate by coordinate
+        assert np.array_equal(block[1, :, 2], np.searchsorted(np.cumsum([0.1, 0.3, 0.6]), u[1, 2], "right"))
 
 
 class TestConditionNumber:
