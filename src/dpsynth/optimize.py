@@ -5,7 +5,9 @@ Solves
 with a revised primal simplex on the standard form (one slack pair per
 statistic) that keeps only the inverse of the (2|F|+1)-square basis. Any
 point mass on the reduced domain is feasible, so the solve starts from that
-vertex and needs no phase-1.
+vertex and needs no phase-1. Pricing is Devex (Forrest and Goldfarb, Math.
+Prog. 1992) on reduced costs updated from each pivot row, one product over the
+domain per pivot, and recomputed from the duals at each factorization.
 """
 
 from __future__ import annotations
@@ -96,10 +98,12 @@ def solve_min_max(problem: FitProblem, max_iterations: int | None = None) -> Fit
     """Global minimizer of the worst absolute residual over densities.
 
     Deterministic: identical problems give bit-identical solutions. Entering
-    columns take the most negative reduced cost (lowest index on ties) until a
-    run of degenerate pivots trips Bland's rule. On hitting the iteration
-    limit the current (still feasible) iterate is returned with status
-    "iteration-limit".
+    columns take the largest d_j^2 / w_j over reduced costs d_j < -PIVOT_TOL
+    and Devex weights w_j (lowest index on ties) until a run of degenerate
+    pivots trips Bland's rule, which Devex needs against cycling. "optimal"
+    means a fresh factorization prices no column as improving. On hitting the
+    iteration limit the current (still feasible) iterate is returned with
+    status "iteration-limit".
     """
     a = problem.values
     b = problem.targets
@@ -122,8 +126,14 @@ def solve_min_max(problem: FitProblem, max_iterations: int | None = None) -> Fit
         binv = np.linalg.inv(_columns(a, basis))
         return np.column_stack([binv, binv @ rhs])
 
+    def row_times_columns(v):  # v @ every standard-form column: one product over A
+        return np.concatenate([(v[:nf] - v[nf:-1]) @ a + v[-1], [-v[:-1].sum()], v[:-1]])
+
     inv = factorize()
     np.maximum(inv[:, -1], 0.0, out=inv[:, -1])
+    buf = np.empty_like(inv)  # the rank-1 update's outer product
+    n_cols = m + 1 + 2 * nf
+    w = np.ones(n_cols)  # Devex reference weights
     stale = 0  # rank-1 updates since the last factorization
     iterations = 0
     degenerate_run = 0
@@ -131,20 +141,23 @@ def solve_min_max(problem: FitProblem, max_iterations: int | None = None) -> Fit
     while True:
         if stale >= REFACTOR_INTERVAL:
             inv, stale = factorize(), 0
-        y = (basis == t_col) @ inv[:, :-1]  # duals c_B B^-1; the cost vector is e_t
-        points = (y[nf:-1] - y[:nf]) @ a - y[-1]  # one product prices every point
-        reduced = np.concatenate([points, [1.0 + y[:-1].sum()], -y[:-1]])
-        reduced[basis] = 0.0  # what basic columns price to in exact arithmetic
-        # Bland's rule: the first improving column; Dantzig's: the most negative.
-        q = int(np.argmax(reduced < -PIVOT_TOL) if bland else np.argmin(reduced))
-        optimal = reduced[q] >= -PIVOT_TOL
+        if not stale:  # full pricing from the duals c_B B^-1; the cost vector is e_t
+            d = -row_times_columns((basis == t_col) @ inv[:, :-1])  # y = 0 while t is nonbasic
+            d[m] += 1.0
+            d[basis] = 0.0  # what basic columns price to in exact arithmetic
+        # Bland's rule: the first improving column; Devex: the largest d_j^2 / w_j,
+        # and any improving column outscores the -1 of the others.
+        improving = d < -PIVOT_TOL
+        q = int(np.argmax(improving if bland else np.where(improving, d * d / w, -1.0)))
+        optimal = d[q] >= -PIVOT_TOL
         if optimal or iterations >= max_iterations:
             if stale:  # price again, and read the weights, on a fresh factorization
                 stale = REFACTOR_INTERVAL
                 continue
             status = "optimal" if optimal else "iteration-limit"
             break
-        col = inv[:, :-1] @ _columns(a, [q])[:, 0]
+        entering = np.concatenate([a[:, q], -a[:, q], [1.0]]) if q < m else _columns(a, [q])[:, 0]
+        col = inv[:, :-1] @ entering
         pos = col > PIVOT_TOL
         if not pos.any():
             raise RuntimeError("fit problem is unbounded; inputs are malformed")
@@ -156,13 +169,20 @@ def solve_min_max(problem: FitProblem, max_iterations: int | None = None) -> Fit
         degenerate_run = degenerate_run + 1 if best <= 1e-12 else 0
         bland = bland or degenerate_run > DEGENERACY_TRIP
         pivot_row = inv[leave] / col[leave]
-        inv -= np.outer(col, pivot_row)
+        alpha = row_times_columns(pivot_row[:-1])  # the tableau's row leave, over col[leave]
+        if not bland:  # Bland's small pivots would blow the weights up
+            np.maximum(w, np.square(alpha) * w[q], out=w)
+            w[basis[leave]] = max(w[q] / col[leave] ** 2, 1.0)
+        d -= d[q] * alpha
+        np.multiply.outer(col, pivot_row, out=buf)
+        inv -= buf
         inv[leave] = pivot_row
         basis[leave] = q
+        d[basis] = 0.0
         iterations += 1
         stale += 1
 
-    x = np.zeros(m + 1 + 2 * nf)
+    x = np.zeros(n_cols)
     x[basis] = inv[:, -1]
     weights = x[:m].copy()
     if (weights < -1e-9).any():

@@ -15,6 +15,7 @@ from dpsynth import (
     privacy_check,
     solve_min_max,
 )
+from dpsynth import optimize
 from dpsynth.optimize import PIVOT_TOL, REFACTOR_INTERVAL
 from grid_oracle import grid_minimax, grid_minimax_dense
 
@@ -276,3 +277,39 @@ class TestAgainstHighs:
             pivots.append(solution.iterations)
         # the basis inverse must have been refactorized along the way
         assert max(pivots) > REFACTOR_INTERVAL
+
+    @pytest.mark.parametrize(
+        "constant, value",
+        [
+            ("REFACTOR_INTERVAL", 1),  # every reduced cost comes from fresh duals
+            ("REFACTOR_INTERVAL", 10**6),  # only the pivot-row updates until the last pricing
+            ("DEGENERACY_TRIP", -1),  # Bland's rule from the second pivot, weights frozen
+        ],
+    )
+    def test_updated_costs_and_bland_fallback_match_highs(self, monkeypatch, constant, value):
+        pytest.importorskip("scipy")
+        monkeypatch.setattr(optimize, constant, value)
+        problem = pipeline_sized_problem(6, m=2000)
+        solution = solve_min_max(problem)
+        assert solution.status == "optimal"
+        assert solution.objective == pytest.approx(highs_min_max(problem), abs=1e-9)
+
+
+def test_consistent_targets_reach_zero_with_t_out_of_the_basis():
+    # b = A h0 for a density h0 on the support, so t* = 0. On 10 of the 40
+    # small instances t leaves the basis, and the duals read from its row must
+    # then be zero rather than an index error.
+    rng = np.random.default_rng(8)
+    problems = [pipeline_sized_problem(8)]
+    problems += [random_problem(rng, max_functions=5, max_points=6) for _ in range(40)]
+    for problem in problems:
+        h0 = rng.random(problem.values.shape[1])
+        h0 /= h0.sum()
+        consistent = FitProblem(
+            values=problem.values, targets=problem.values @ h0, support=problem.support
+        )
+        solution = solve_min_max(consistent)
+        assert solution.status == "optimal"
+        assert solution.objective <= 1e-9
+        residual = consistent.values @ solution.density.weights - consistent.targets
+        assert np.abs(residual).max() <= 1e-7
