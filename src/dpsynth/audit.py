@@ -21,7 +21,7 @@ from .distributions import (
 )
 from .mechanism import _accuracy_thresholds, laplace_vector
 from .queries import marginal_family
-from .synth import PipelineConfig, _render, generate
+from .synth import PipelineConfig, _render_fields, _reported_as, generate
 
 DEFAULT_AUDIT_SLACK = 0.15
 # A histogram cell with a zero count on one side is only treated as evidence
@@ -30,11 +30,10 @@ MIN_CELL_OCCUPANCY = 10
 
 
 class _AuditResult:
-    """An audit's outcome, reported as one line per (report key, field) pair
-    of its class's ``_REPORT``, in that order."""
+    """An audit's outcome: one line per field, in field order, under the field's key."""
 
     def report_text(self) -> str:
-        return _render((key, getattr(self, name)) for key, name in self._REPORT)
+        return _render_fields(self)
 
 
 def _binomial_gate(rate: float, trials: int) -> float:
@@ -51,19 +50,11 @@ def _trial_rows(dist, trials: int, count: int, width: int, rng):
 
 @dataclass(frozen=True)
 class DeviationCheckResult(_AuditResult):
-    failure_rate: float
-    gate: float
-    threshold_n: float
-    trials: int
-    passed: bool
-
-    _REPORT = (
-        ("lemma3_failure_rate", "failure_rate"),
-        ("lemma3_gate", "gate"),
-        ("lemma3_threshold_n", "threshold_n"),
-        ("lemma3_trials", "trials"),
-        ("lemma3_passed", "passed"),
-    )
+    failure_rate: float = _reported_as("lemma3_failure_rate")
+    gate: float = _reported_as("lemma3_gate")
+    threshold_n: float = _reported_as("lemma3_threshold_n")
+    trials: int = _reported_as("lemma3_trials")
+    passed: bool = _reported_as("lemma3_passed")
 
 
 def deviation_check_empirical(
@@ -98,23 +89,13 @@ def deviation_check_empirical(
 
 @dataclass(frozen=True)
 class ReweightedCheckResult(_AuditResult):
-    failure_rate: float
+    failure_rate: float = _reported_as("lemma4_failure_rate")
     mean_r: float
-    gate: float
+    gate: float = _reported_as("lemma4_gate")
     mean_r_tolerance: float
-    threshold_m: float
-    trials: int
-    passed: bool
-
-    _REPORT = (
-        ("lemma4_failure_rate", "failure_rate"),
-        ("mean_r", "mean_r"),
-        ("lemma4_gate", "gate"),
-        ("mean_r_tolerance", "mean_r_tolerance"),
-        ("lemma4_threshold_m", "threshold_m"),
-        ("lemma4_trials", "trials"),
-        ("lemma4_passed", "passed"),
-    )
+    threshold_m: float = _reported_as("lemma4_threshold_m")
+    trials: int = _reported_as("lemma4_trials")
+    passed: bool = _reported_as("lemma4_passed")
 
 
 def reweighted_deviation_check(
@@ -183,19 +164,10 @@ def _check_neighbors(d1: Dataset, d2: Dataset) -> None:
 class PrivacyAuditResult(_AuditResult):
     epsilon_hat: float
     epsilon_theoretical: float
-    slack: float
-    trials: int
-    bins: int
-    passed: bool
-
-    _REPORT = (
-        ("epsilon_hat", "epsilon_hat"),
-        ("epsilon_theoretical", "epsilon_theoretical"),
-        ("audit_slack", "slack"),
-        ("dp_trials", "trials"),
-        ("dp_bins", "bins"),
-        ("dp_passed", "passed"),
-    )
+    slack: float = _reported_as("audit_slack")
+    trials: int = _reported_as("dp_trials")
+    bins: int = _reported_as("dp_bins")
+    passed: bool = _reported_as("dp_passed")
 
 
 def privacy_audit(
@@ -268,23 +240,13 @@ def privacy_audit(
 
 @dataclass(frozen=True)
 class BooleanExperimentResult(_AuditResult):
+    passed: bool = _reported_as("corollary_pass")
+    fail_fraction: float = _reported_as("corollary_fail_fraction")
+    gate: float = _reported_as("corollary_gate")
+    error_threshold: float = _reported_as("corollary_error_threshold")
+    median_error: float = _reported_as("corollary_median_error")
+    trials: int = _reported_as("corollary_trials")
     errors: tuple[float, ...]
-    fail_fraction: float
-    gate: float
-    error_threshold: float
-    median_error: float
-    trials: int
-    passed: bool
-
-    _REPORT = (
-        ("corollary_pass", "passed"),
-        ("corollary_fail_fraction", "fail_fraction"),
-        ("corollary_gate", "gate"),
-        ("corollary_error_threshold", "error_threshold"),
-        ("corollary_median_error", "median_error"),
-        ("corollary_trials", "trials"),
-        ("errors", "errors"),
-    )
 
 
 def boolean_experiment(

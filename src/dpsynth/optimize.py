@@ -99,8 +99,11 @@ def solve_min_max(problem: FitProblem, max_iterations: int | None = None) -> Fit
 
     Deterministic: identical problems give bit-identical solutions. Entering
     columns take the largest d_j^2 / w_j over reduced costs d_j < -PIVOT_TOL
-    and Devex weights w_j (lowest index on ties) until a run of degenerate
-    pivots trips Bland's rule, which Devex needs against cycling. "optimal"
+    and Devex weights w_j (lowest index on ties). Devex can cycle, so a run of
+    more than DEGENERACY_TRIP degenerate pivots switches to Bland's rule until
+    the next nondegenerate pivot, with the weights frozen meanwhile. Bland's
+    rule cannot cycle from any basis, so each degenerate run ends, and each
+    nondegenerate pivot strictly lowers t: the solve terminates. "optimal"
     means a fresh factorization prices no column as improving. On hitting the
     iteration limit the current (still feasible) iterate is returned with
     status "iteration-limit".
@@ -167,7 +170,7 @@ def solve_min_max(problem: FitProblem, max_iterations: int | None = None) -> Fit
         ties = np.flatnonzero(ratios == best)
         leave = int(ties[np.argmin(basis[ties])])
         degenerate_run = degenerate_run + 1 if best <= 1e-12 else 0
-        bland = bland or degenerate_run > DEGENERACY_TRIP
+        bland = degenerate_run > DEGENERACY_TRIP
         pivot_row = inv[leave] / col[leave]
         alpha = row_times_columns(pivot_row[:-1])  # the tableau's row leave, over col[leave]
         if not bland:  # Bland's small pivots would blow the weights up

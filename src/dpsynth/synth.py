@@ -8,7 +8,7 @@ records from the fit. Everything after the noise step is post-processing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -84,6 +84,17 @@ def _render(pairs) -> str:
     return "".join(lines)
 
 
+def _reported_as(key: str):
+    """A dataclass field whose report line is headed key rather than its name."""
+    return field(metadata={"key": key})
+
+
+def _render_fields(record) -> str:
+    """A record's report: one line per set (not None) field, in field order, under its key."""
+    values = ((f.metadata.get("key", f.name), getattr(record, f.name)) for f in fields(record))
+    return _render((key, v) for key, v in values if v is not None)
+
+
 @dataclass(frozen=True)
 class PipelineReport:
     """Deterministic key-value record of one generation run."""
@@ -111,9 +122,8 @@ class PipelineReport:
     noisy_targets: tuple[float, ...] | None = None
 
     def to_text(self) -> str:
-        """One ``name = value`` line per field in field order, leaving out unset ones."""
-        values = ((f.name, getattr(self, f.name)) for f in fields(self))
-        return _render((name, v) for name, v in values if v is not None)
+        """One ``name = value`` line per field, in field order, leaving out unset ones."""
+        return _render_fields(self)
 
 
 @dataclass(frozen=True)

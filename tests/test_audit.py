@@ -271,6 +271,8 @@ class TestTrialBlocks:
             (lambda: deviation(0, 0.2, 0.1, 5), "^sample count must be >= 1$"),
             (lambda: reweighted(population, point, family, 0, 0.2, 0.1, 5), "^nu not dominated"),
             (lambda: reweighted(population, sampling, family, 0, 0.2, 0.1, 5), "^sample count"),
+            (lambda: reweighted(population, sampling, family, 5, 0.2, 0.1, 0), "^trials must be"),
+            (lambda: boolean_experiment(3, 1, 30, 30, 40, 0.2, 0.1, 0, 1), "^trials must be >= 1$"),
         ]
         for call, message in cases:
             with pytest.raises(ValueError, match=message):
@@ -365,6 +367,18 @@ class TestPrivacyAudit:
             rng=np.random.default_rng(5),
         )
         assert result.passed
+
+    @pytest.mark.parametrize("trials, epsilon_hat", [(1_000, math.inf), (4, 0.0)])
+    def test_one_sided_cells_count_once_occupied(self, neighbor_datasets, trials, epsilon_hat):
+        # At sigma = 1e-4 the two releases never share a bin. A cell seen on one
+        # side only is a violation once MIN_CELL_OCCUPANCY observations land in
+        # it; with 4 trials none does, and no cell is shared, so the estimate is 0.
+        d1, d2 = neighbor_datasets
+        family = QueryFamily([TestFunction.assignment((0,), (1,))])
+        result = privacy_audit(family, 1e-4, d1, d2, trials, 2, np.random.default_rng(3))
+        assert result.epsilon_theoretical == pytest.approx((1.0 / 11.0) / 1e-4, rel=1e-12)
+        assert result.epsilon_hat == epsilon_hat
+        assert result.passed is (epsilon_hat == 0.0)
 
     def test_validation(self, neighbor_datasets):
         d1, d2 = neighbor_datasets

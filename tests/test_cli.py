@@ -317,6 +317,13 @@ class TestKappaCommand:
         assert captured.out == ""
         assert captured.err == "error: distributions must share a schema\n"
 
+    def test_bare_uniform_needs_a_schema(self, capsys):
+        # kappa reads no dataset, so a bare 'uniform' --nu has nothing to copy a schema from
+        code = main(["kappa", "--nu", "uniform", "--mu", "uniform 2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err == "error: 'uniform' needs a dataset to take its schema from\n"
+
     @pytest.mark.parametrize(
         "nu, message",
         [

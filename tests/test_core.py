@@ -170,6 +170,10 @@ class TestDatasetText:
             Dataset.from_text(b"")
         with pytest.raises(ValueError, match="line 1: expected comma-separated arities"):
             Dataset.from_text(b"two,2\n")
+        with pytest.raises(
+            ValueError, match="^invalid dataset: line 1: coordinate arities must be >= 1$"
+        ):
+            Dataset.from_text(b"2,0\n0,0\n")
 
     def test_row_errors_carry_line_numbers(self):
         with pytest.raises(ValueError, match="line 3: expected comma-separated"):
@@ -210,7 +214,7 @@ class TestDatasetText:
     @pytest.mark.parametrize(
         "row",
         ["0,+1", "0,1_0", "0,\u0661", "0,1 1", "0,", "0, ", "0,0x1", "0,1.0", "0,-0", "0,-1",
-         "0,\xa01", "0,1\u3000", "0,\x1f1", "0,0\r1", "0\r,1", "0 1,", ",1 1"],
+         "0,\xa01", "0,1\u3000", "0,\x1f1", "0,0\r1", "0\r,1", "0 1,", ",1 1", "0," + "1" * 19],
     )
     def test_cells_outside_the_grammar_rejected(self, row):
         with pytest.raises(ValueError, match="^line 3: expected comma-separated category"):

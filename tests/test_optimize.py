@@ -313,3 +313,19 @@ def test_consistent_targets_reach_zero_with_t_out_of_the_basis():
         assert solution.objective <= 1e-9
         residual = consistent.values @ solution.density.weights - consistent.targets
         assert np.abs(residual).max() <= 1e-7
+
+
+def test_point_mass_targets_leave_blands_rule_after_the_degenerate_run():
+    # Targets that are one support point's column (t* = 0) give a run of
+    # degenerate Devex pivots that trips Bland's rule. Bland's rule must hold
+    # only until the next nondegenerate pivot: kept on, it runs here to the
+    # iteration limit and ends on infeasible weights.
+    problem = pipeline_sized_problem(7)
+    point_mass = FitProblem(
+        values=problem.values, targets=problem.values[:, 7111], support=problem.support
+    )
+    solution = solve_min_max(point_mass)
+    assert solution.status == "optimal"
+    assert solution.objective <= 1e-9
+    residual = point_mass.values @ solution.density.weights - point_mass.targets
+    assert np.abs(residual).max() <= 1e-7

@@ -105,6 +105,8 @@ class TestParseQuerySpec:
             parse_query_spec("indicator S=1,2 values=0", (2, 2))
         with pytest.raises(ValueError, match="line 1: coordinate indices must be distinct"):
             parse_query_spec("indicator S=1,1 values=0,0", (2, 2))
+        with pytest.raises(ValueError, match=r"^line 1: expected S=<\.\.\.>, got 'T=1'$"):
+            parse_query_spec("indicator T=1 values=0", (2, 2))
 
     @pytest.mark.parametrize(
         "text", ["indicator S=+1 values=0", "indicator S=1 values=0_0", "indicator S=١ values=0",
