@@ -160,6 +160,31 @@ def _check_neighbors(d1: Dataset, d2: Dataset) -> None:
         raise ValueError("datasets are not add-one neighbors")
 
 
+def _edge_counter(inner: np.ndarray):
+    """x -> np.searchsorted(inner, x, side="right") for sorted edges, exactly, by lookup:
+    a uniform grid of 4*len(inner) buckets over [inner[0], inner[-1]] gives x a bucket g,
+    start[g] edges lie in lower buckets and one comparison per edge sharing g adds the
+    rest. The bucket map is monotone, so lower buckets hold only smaller edges. A spread
+    or scale that is not finite gets one bucket; NaN, which no x reaches, pads the table."""
+    lo, hi, size = float(inner[0]), float(inner[-1]), 4 * len(inner)
+    scale = size / (hi - lo) if 0.0 < hi - lo < math.inf else math.inf
+    if not math.isfinite(scale):  # bucket 0 for every value, infinities too
+        lo, hi, scale, size = 0.0, 0.0, 0.0, 1
+
+    def bucket(x: np.ndarray) -> np.ndarray:  # clipped first: no NaN reaches the cast
+        return np.minimum(((np.clip(x, lo, hi) - lo) * scale).astype(np.intp), size - 1)
+    where = bucket(inner) if size > 1 else np.zeros(len(inner), np.intp)  # NaN edges skip the cast
+    start = np.searchsorted(where, np.arange(size))
+    rank = np.arange(len(inner)) - start[where]
+    table = np.full((rank.max() + 1, size), np.nan)  # row r: each bucket's r-th edge
+    table[rank, where] = inner
+
+    def count(x: np.ndarray) -> np.ndarray:
+        g = bucket(x)
+        return start[g] + sum(x >= row[g] for row in table)
+    return count
+
+
 @dataclass(frozen=True)
 class PrivacyAuditResult(_AuditResult):
     epsilon_hat: float
@@ -178,8 +203,9 @@ def privacy_audit(
 
     Runs the Laplace stage on two neighboring datasets, discretizes the
     outputs with per-dimension equal-frequency bin edges taken from the
-    combined samples, and reports the largest absolute log count ratio. Cells
-    empty on one side are skipped while they hold fewer than
+    combined samples (a bucket lookup bins each draw exactly as a binary search
+    over the edges would), and reports the largest absolute log count ratio.
+    Cells empty on one side are skipped while they hold fewer than
     MIN_CELL_OCCUPANCY observations in total; beyond that they count as
     evidence of a violation (infinite ratio).
     """
@@ -204,18 +230,21 @@ def privacy_audit(
     out1 += stats1
     out2 = laplace_vector(sigma, (trials, nf), rng)
     out2 += stats2
-    edges = []
+    counters = []
     for j in range(nf):
         both = np.concatenate([out1[:, j], out2[:, j]])
         both.sort()  # in place; the quantiles of sorted values need little partitioning
-        edges.append(np.quantile(both, np.arange(1, bins) / bins, overwrite_input=True))
+        inner = np.quantile(both, np.arange(1, bins) / bins, overwrite_input=True)
+        counters.append(_edge_counter(inner))
     del both
 
     def counts(out: np.ndarray) -> np.ndarray:
         cell = np.zeros(trials, dtype=np.int64)
-        for j, inner in enumerate(edges):
-            cell *= bins
-            cell += np.searchsorted(inner, out[:, j], side="right")
+        for start in range(0, trials, _STATS_BLOCK):
+            block = cell[start:start + _STATS_BLOCK]
+            for j, count in enumerate(counters):
+                block *= bins
+                block += count(out[start:start + _STATS_BLOCK, j])
         return np.bincount(cell, minlength=bins**nf)
 
     counts1, counts2 = counts(out1), counts(out2)

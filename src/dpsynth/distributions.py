@@ -41,11 +41,11 @@ def _check_masses(masses: np.ndarray, name: str, whole: bool = True) -> np.ndarr
 
 def _inverse_cdf_sample(masses: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Indices drawn with probabilities ``masses``, one per uniform in ``u``, in its shape."""
-    cdf = np.cumsum(masses)
-    idx = np.searchsorted(cdf, u, side="right")
+    held = np.flatnonzero(masses > 0)  # the CDF rises only there, and adding 0.0 is exact
+    idx = np.searchsorted(np.cumsum(masses[held]), u, side="right")
     # Masses sum to 1 only within rounding, so a uniform can land above the
-    # CDF's last value; it must not hand out a trailing zero-mass index.
-    return np.minimum(idx, np.flatnonzero(masses > 0)[-1], out=idx)
+    # CDF's last value; "clip" keeps it on the last positive mass.
+    return np.take(held, idx, mode="clip", out=idx)
 
 
 class ProductDistribution:

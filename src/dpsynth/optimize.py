@@ -97,16 +97,16 @@ def _columns(a: np.ndarray, idx) -> np.ndarray:
 def solve_min_max(problem: FitProblem, max_iterations: int | None = None) -> FitSolution:
     """Global minimizer of the worst absolute residual over densities.
 
-    Deterministic: identical problems give bit-identical solutions. Entering
-    columns take the largest d_j^2 / w_j over reduced costs d_j < -PIVOT_TOL
-    and Devex weights w_j (lowest index on ties). Devex can cycle, so a run of
-    more than DEGENERACY_TRIP degenerate pivots switches to Bland's rule until
-    the next nondegenerate pivot, with the weights frozen meanwhile. Bland's
-    rule cannot cycle from any basis, so each degenerate run ends, and each
-    nondegenerate pivot strictly lowers t: the solve terminates. "optimal"
-    means a fresh factorization prices no column as improving. On hitting the
-    iteration limit the current (still feasible) iterate is returned with
-    status "iteration-limit".
+    Deterministic at a fixed BLAS thread count: identical problems give
+    bit-identical solutions. Entering columns take the largest d_j^2 / w_j over
+    reduced costs d_j < -PIVOT_TOL and Devex weights w_j (lowest index on ties).
+    Devex can cycle, so a run of more than DEGENERACY_TRIP degenerate pivots
+    switches to Bland's rule until the next nondegenerate pivot, with the
+    weights frozen meanwhile. Bland's rule cannot cycle from any basis, so each
+    degenerate run ends, and each nondegenerate pivot strictly lowers t: the
+    solve terminates. "optimal" means a fresh factorization prices no column as
+    improving. On hitting the iteration limit the current (still feasible)
+    iterate is returned with status "iteration-limit".
     """
     a = problem.values
     b = problem.targets

@@ -18,7 +18,7 @@ from dpsynth import (
     privacy_audit,
     reweighted_deviation_check,
 )
-from dpsynth.audit import _check_neighbors
+from dpsynth.audit import _check_neighbors, _edge_counter
 
 
 @pytest.fixture
@@ -402,6 +402,33 @@ class TestPrivacyAudit:
         with pytest.raises(ValueError, match=r"bins\*\*\|F\| <= 2\*trials"):
             privacy_audit(family, 0.1, d1, d2, 7, 4, rng)
 
+    @pytest.mark.parametrize(
+        "family, sigma, neighbor, trials, bins, seed, report",
+        [
+            # Criterion 3's shifted run.
+            ([TestFunction.monotone((0,))], 0.1, True, 1_000_000, 40, 31,
+             "epsilon_hat = 0.931206529\nepsilon_theoretical = 0.909090909\n"
+             "audit_slack = 0.15\ndp_trials = 1000000\ndp_bins = 40\ndp_passed = true\n"),
+            ([TestFunction.constant_one(), TestFunction.monotone((0,)),
+              TestFunction.assignment((0,), (0,))], 0.3, True, 200_000, 6, 5,
+             "epsilon_hat = 0.74508647\nepsilon_theoretical = 0.606060606\n"
+             "audit_slack = 0.15\ndp_trials = 200000\ndp_bins = 6\ndp_passed = true\n"),
+            # Edges 1e-310 apart: the bucket grid's scale would overflow.
+            ([TestFunction.monotone((0,))], 1e-310, False, 1_000, 4, 3,
+             "epsilon_hat = 0.192593107\nepsilon_theoretical = 0\n"
+             "audit_slack = 0.15\ndp_trials = 1000\ndp_bins = 4\ndp_passed = false\n"),
+        ],
+    )
+    def test_reports_pinned_at_run_sizes(
+        self, neighbor_datasets, family, sigma, neighbor, trials, bins, seed, report
+    ):
+        d1, d2 = neighbor_datasets
+        result = privacy_audit(
+            QueryFamily(family), sigma, d1, d2 if neighbor else d1, trials, bins,
+            np.random.default_rng(seed),
+        )
+        assert result.report_text() == report
+
     def test_report_text(self, neighbor_datasets):
         d1, d2 = neighbor_datasets
         family = QueryFamily([TestFunction.monotone((0,))])
@@ -412,6 +439,45 @@ class TestPrivacyAudit:
         assert "epsilon_hat = " in text
         assert "epsilon_theoretical = " in text
         assert "dp_passed = " in text
+
+
+class TestEdgeCounter:
+    """The bucket lookup that bins the privacy audit's draws counts, for each
+    draw, the edges at or below it, as np.searchsorted(edges, x, side="right")."""
+
+    @staticmethod
+    def assert_counts_as_binary_search(inner, x):
+        inner = np.asarray(inner, dtype=float)
+        assert np.array_equal(_edge_counter(inner)(x), np.searchsorted(inner, x, side="right"))
+
+    @pytest.mark.parametrize(
+        "inner",
+        [
+            [0.5],  # bins = 2
+            [1.0, 1.0, 1.0],
+            [-1.0, 0.0, 0.0, 0.0, 2.0, 2.0],
+            [0.0, 1e-9, 1e-9, 0.5, 0.5000001, 3.0],  # many edges in one bucket
+            [1e-310, 2e-310, 3e-310],  # the grid's scale overflows
+            [-1e308, 0.0, 1e308],  # the spread overflows
+        ],
+    )
+    def test_edge_cases(self, inner):
+        edges = np.array(inner)
+        between = np.linspace(edges[0] / 2 - 1, edges[-1] / 2 + 1, 101)
+        x = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), between,
+            [0.0, -0.0, -1.7e308, 1.7e308, -np.inf, np.inf],
+        ])
+        self.assert_counts_as_binary_search(edges, x)
+
+    @pytest.mark.parametrize("bins", [2, 3, 7, 40, 200])
+    @pytest.mark.parametrize("sigma", [1e-4, 0.1, 3.0])
+    def test_laplace_columns(self, bins, sigma):
+        rng = np.random.default_rng(bins)
+        out = rng.laplace(scale=sigma, size=(5_000, 2)) + [0.0, 1.0 / 11.0]
+        for j in range(2):
+            edges = np.quantile(np.sort(out[:, j]), np.arange(1, bins) / bins)
+            self.assert_counts_as_binary_search(edges, out[:, j])
 
 
 class TestBooleanExperiment:

@@ -18,6 +18,7 @@ from dpsynth import (
     renyi_condition_number_mc,
 )
 from dpsynth.core import _STATS_BLOCK
+from dpsynth.distributions import _inverse_cdf_sample
 
 
 @pytest.fixture
@@ -192,6 +193,24 @@ class TestInverseCdfSampling:
         assert np.cumsum(self.MASSES)[-1] < 1.0 - 1e-13
         draws = dist.sample(5, TopUniform(np.random.PCG64(0)))
         assert (draws.rows == 1).all()
+
+    @pytest.mark.parametrize(
+        "masses",
+        [
+            [0.0, 0.0, 0.25, 0.0, 0.0, 0.0, 0.75, 0.0, 0.0],  # runs of zeros at both ends
+            [1e-300, 0.0, 0.5, 0.0, 0.5 - 1e-300],
+            [0.0, 1.0],
+            [0.3, 0.7 - 5e-13, 0.0],  # the CDF ends below 1
+            [1.0],
+        ],
+    )
+    def test_positive_masses_alone_give_the_full_cdfs_indices(self, masses):
+        masses = np.array(masses)
+        cdf = np.cumsum(masses)
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0), cdf[-1]], cdf, np.nextafter(cdf, 0.0),
+                            np.random.default_rng(5).random(200)])
+        full = np.minimum(np.searchsorted(cdf, u, side="right"), np.flatnonzero(masses > 0)[-1])
+        assert np.array_equal(_inverse_cdf_sample(masses, u), full)
 
 
 def random_product(rng):
