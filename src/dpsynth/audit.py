@@ -161,28 +161,27 @@ def _check_neighbors(d1: Dataset, d2: Dataset) -> None:
 
 
 def _edge_counter(inner: np.ndarray):
-    """x -> np.searchsorted(inner, x, side="right") for sorted edges, exactly, by lookup:
-    a uniform grid of 4*len(inner) buckets over [inner[0], inner[-1]] gives x a bucket g,
-    start[g] edges lie in lower buckets and one comparison per edge sharing g adds the
-    rest. The bucket map is monotone, so lower buckets hold only smaller edges. A spread
-    or scale that is not finite gets one bucket; NaN, which no x reaches, pads the table."""
+    """x -> np.searchsorted(inner, x, side="right") for sorted finite edges, by an exact lookup:
+    a uniform grid of 4*len(inner) buckets over the edges gives x a bucket g, start[g] edges lie
+    in lower buckets (the grid map is monotone) and one comparison per edge in g adds the rest.
+    Edges crowded into few buckets, or no finite grid, get the binary search, which costs less."""
     lo, hi, size = float(inner[0]), float(inner[-1]), 4 * len(inner)
     scale = size / (hi - lo) if 0.0 < hi - lo < math.inf else math.inf
-    if not math.isfinite(scale):  # bucket 0 for every value, infinities too
-        lo, hi, scale, size = 0.0, 0.0, 0.0, 1
-
-    def bucket(x: np.ndarray) -> np.ndarray:  # clipped first: no NaN reaches the cast
-        return np.minimum(((np.clip(x, lo, hi) - lo) * scale).astype(np.intp), size - 1)
-    where = bucket(inner) if size > 1 else np.zeros(len(inner), np.intp)  # NaN edges skip the cast
-    start = np.searchsorted(where, np.arange(size))
-    rank = np.arange(len(inner)) - start[where]
-    table = np.full((rank.max() + 1, size), np.nan)  # row r: each bucket's r-th edge
-    table[rank, where] = inner
-
-    def count(x: np.ndarray) -> np.ndarray:
-        g = bucket(x)
-        return start[g] + sum(x >= row[g] for row in table)
-    return count
+    if math.isfinite(scale):  # else the edges are equal, or their spread is subnormal or overflows
+        def bucket(x: np.ndarray) -> np.ndarray:  # clipped first: no infinity reaches the cast
+            return np.minimum(((np.clip(x, lo, hi) - lo) * scale).astype(np.intp), size - 1)
+        where = bucket(inner)
+        rank = np.arange(len(inner)) - np.searchsorted(where, where)  # place in its bucket
+        rows = int(rank.max()) + 1  # a pass each, against log2(len(inner)) search steps
+        if 2 * rows <= math.log2(len(inner)) and (rows + 1) * size <= _STATS_BLOCK:
+            start = np.searchsorted(where, np.arange(size))
+            table = np.full((rows, size), np.nan)  # row r: each bucket's r-th edge, NaN if none
+            table[rank, where] = inner
+            def lookup(x: np.ndarray) -> np.ndarray:
+                g = bucket(x)
+                return start[g] + sum(x >= row[g] for row in table)
+            return lookup
+    return lambda x: np.searchsorted(inner, x, side="right")
 
 
 @dataclass(frozen=True)
@@ -235,6 +234,8 @@ def privacy_audit(
         both = np.concatenate([out1[:, j], out2[:, j]])
         both.sort()  # in place; the quantiles of sorted values need little partitioning
         inner = np.quantile(both, np.arange(1, bins) / bins, overwrite_input=True)
+        if not np.isfinite(inner).all():
+            raise ValueError("sigma is too large: the noisy statistics overflow to infinity")
         counters.append(_edge_counter(inner))
     del both
 

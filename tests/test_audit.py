@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,6 +418,14 @@ class TestPrivacyAudit:
             ([TestFunction.monotone((0,))], 1e-310, False, 1_000, 4, 3,
              "epsilon_hat = 0.192593107\nepsilon_theoretical = 0\n"
              "audit_slack = 0.15\ndp_trials = 1000\ndp_bins = 4\ndp_passed = false\n"),
+            # Noise far below the statistics' gap: edges crowd at two peaks and the
+            # binary search bins the draws.
+            ([TestFunction.monotone((0,))], 1e-3, True, 100_000, 40, 11,
+             "epsilon_hat = inf\nepsilon_theoretical = 90.9090909\n"
+             "audit_slack = 0.15\ndp_trials = 100000\ndp_bins = 40\ndp_passed = false\n"),
+            ([TestFunction.monotone((0,))], 1e-4, True, 5_000, 10_000, 7,
+             "epsilon_hat = 0\nepsilon_theoretical = 909.090909\n"
+             "audit_slack = 0.15\ndp_trials = 5000\ndp_bins = 10000\ndp_passed = true\n"),
         ],
     )
     def test_reports_pinned_at_run_sizes(
@@ -428,6 +437,15 @@ class TestPrivacyAudit:
             np.random.default_rng(seed),
         )
         assert result.report_text() == report
+
+    def test_overflowing_noise_is_refused(self, neighbor_datasets):
+        # Draws past float max leave infinite or NaN bin edges, which bin nothing.
+        d1, d2 = neighbor_datasets
+        family = QueryFamily([TestFunction.monotone((0,))])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="sigma is too large"
+        ):
+            privacy_audit(family, 1.7e308, d1, d2, 100_000, 40, np.random.default_rng(3))
 
     def test_report_text(self, neighbor_datasets):
         d1, d2 = neighbor_datasets
@@ -443,7 +461,8 @@ class TestPrivacyAudit:
 
 class TestEdgeCounter:
     """The bucket lookup that bins the privacy audit's draws counts, for each
-    draw, the edges at or below it, as np.searchsorted(edges, x, side="right")."""
+    draw, the edges at or below it, as np.searchsorted(edges, x, side="right"),
+    and hands crowded edges to that binary search."""
 
     @staticmethod
     def assert_counts_as_binary_search(inner, x):
@@ -451,18 +470,22 @@ class TestEdgeCounter:
         assert np.array_equal(_edge_counter(inner)(x), np.searchsorted(inner, x, side="right"))
 
     @pytest.mark.parametrize(
-        "inner",
+        "inner, lookup",
         [
-            [0.5],  # bins = 2
-            [1.0, 1.0, 1.0],
-            [-1.0, 0.0, 0.0, 0.0, 2.0, 2.0],
-            [0.0, 1e-9, 1e-9, 0.5, 0.5000001, 3.0],  # many edges in one bucket
-            [1e-310, 2e-310, 3e-310],  # the grid's scale overflows
-            [-1e308, 0.0, 1e308],  # the spread overflows
+            ([0.5], False),  # bins = 2
+            ([1.0, 1.0, 1.0], False),
+            ([-1.0, 0.0, 0.0, 0.0, 2.0, 2.0], False),
+            ([0.0, 1e-9, 1e-9, 0.5, 0.5000001, 3.0], False),  # many edges in one bucket
+            ([1e-310, 2e-310, 3e-310], False),  # the grid's scale overflows
+            ([-1e308, 0.0, 1e308], False),  # the spread overflows
+            (sorted([*np.linspace(-1.0, 1.0, 61), 0.25, 0.25, 0.25]), True),  # three equal edges
+            (np.linspace(-1e307, 1e307, 20), True),
+            (np.linspace(0.0, 1e-300, 20), True),
         ],
     )
-    def test_edge_cases(self, inner):
+    def test_edge_cases(self, inner, lookup):
         edges = np.array(inner)
+        assert (_edge_counter(edges).__name__ == "lookup") == lookup
         between = np.linspace(edges[0] / 2 - 1, edges[-1] / 2 + 1, 101)
         x = np.concatenate([
             edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), between,
@@ -478,6 +501,26 @@ class TestEdgeCounter:
         for j in range(2):
             edges = np.quantile(np.sort(out[:, j]), np.arange(1, bins) / bins)
             self.assert_counts_as_binary_search(edges, out[:, j])
+
+    @pytest.mark.parametrize("sigma, lookup", [(0.1, True), (1e-4, False), (1e-12, False)])
+    def test_crowded_edges_build_no_table(self, sigma, lookup):
+        # The audit pools two columns 1/11 apart. At sigma << 1/11 the edges crowd
+        # into the buckets at the two peaks: at 1e-12, thousands share a bucket, and
+        # a table with a row for each would take gigabytes.
+        rng = np.random.default_rng(7)
+        both = np.sort(np.concatenate([
+            rng.laplace(scale=sigma, size=50_000), rng.laplace(scale=sigma, size=50_000) + 1 / 11,
+        ]))
+        edges = np.quantile(both, np.arange(1, 10_000) / 10_000)
+        tracemalloc.start()
+        try:
+            counter = _edge_counter(edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (counter.__name__ == "lookup") == lookup
+        assert peak < 3e6  # tables of at most one block of draws, 2 MB
+        assert np.array_equal(counter(both), np.searchsorted(edges, both, side="right"))
 
 
 class TestBooleanExperiment:

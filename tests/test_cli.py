@@ -253,6 +253,22 @@ class TestAuditCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "bins**|F| <= 2*trials" in err
 
+    def test_dp_rejects_noise_that_overflows(self, tmp_path, capsys):
+        d1 = tmp_path / "d1.txt"
+        d1.write_text("2\n0\n0\n0\n")
+        d2 = tmp_path / "d2.txt"
+        d2.write_text("2\n0\n0\n0\n1\n")
+        # Draws past float max leave bin edges that are infinite or NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([
+                "audit", "dp", "--queries", "indicator S=1 values=1",
+                "--sigma", "1.7e308", "--d1", str(d1), "--d2", str(d2),
+                "--trials", "100000", "--bins", "40", "--seed", "3",
+            ])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err == "error: sigma is too large: the noisy statistics overflow to infinity\n"
+
     def test_dp_rejects_a_lone_carriage_return(self, tmp_path, capsys):
         d1 = tmp_path / "d1.txt"
         d1.write_bytes(b"2\n0\r0\n")
