@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _STATS_BLOCK, Dataset, QueryFamily, _row_groups, accuracy_error, evaluate_all
+from .core import (
+    _STATS_BLOCK, Dataset, QueryFamily, _edge_counter, _row_groups, accuracy_error, evaluate_all,
+)
 from .distributions import (
     ProductDistribution,
     exact_statistics,
@@ -158,30 +160,6 @@ def _check_neighbors(d1: Dataset, d2: Dataset) -> None:
     surplus = np.bincount(np.cumsum(first) - 1, weights=np.where(order < len(small), -1, 1))
     if (surplus < 0).any():
         raise ValueError("datasets are not add-one neighbors")
-
-
-def _edge_counter(inner: np.ndarray):
-    """x -> np.searchsorted(inner, x, side="right") for sorted finite edges, by an exact lookup:
-    a uniform grid of 4*len(inner) buckets over the edges gives x a bucket g, start[g] edges lie
-    in lower buckets (the grid map is monotone) and one comparison per edge in g adds the rest.
-    Edges crowded into few buckets, or no finite grid, get the binary search, which costs less."""
-    lo, hi, size = float(inner[0]), float(inner[-1]), 4 * len(inner)
-    scale = size / (hi - lo) if 0.0 < hi - lo < math.inf else math.inf
-    if math.isfinite(scale):  # else the edges are equal, or their spread is subnormal or overflows
-        def bucket(x: np.ndarray) -> np.ndarray:  # clipped first: no infinity reaches the cast
-            return np.minimum(((np.clip(x, lo, hi) - lo) * scale).astype(np.intp), size - 1)
-        where = bucket(inner)
-        rank = np.arange(len(inner)) - np.searchsorted(where, where)  # place in its bucket
-        rows = int(rank.max()) + 1  # a pass each, against log2(len(inner)) search steps
-        if 2 * rows <= math.log2(len(inner)) and (rows + 1) * size <= _STATS_BLOCK:
-            start = np.searchsorted(where, np.arange(size))
-            table = np.full((rows, size), np.nan)  # row r: each bucket's r-th edge, NaN if none
-            table[rank, where] = inner
-            def lookup(x: np.ndarray) -> np.ndarray:
-                g = bucket(x)
-                return start[g] + sum(x >= row[g] for row in table)
-            return lookup
-    return lambda x: np.searchsorted(inner, x, side="right")
 
 
 @dataclass(frozen=True)

@@ -95,25 +95,23 @@ class Dataset:
             schema = _check_schema(arities)
         except ValueError as exc:
             raise ValueError(f"invalid dataset: line 1: {exc}") from None
-        # One row per body newline, where the header's newline stands in for
-        # the last row's, which the strip removed.
-        rows = np.empty((text.count(b"\n", head_end, end), len(schema)), dtype=_row_dtype(schema))
-        start, n = head_end + 1, 0
+        # A line takes at least 2p bytes (the header's newline standing in for the
+        # stripped last one), exactly 2p in a one-digit file: room for every line.
+        p = len(schema)
+        rows = np.empty(((end - head_end) // (2 * p), p), dtype=_row_dtype(schema))
+        start, n, view = head_end + 1, 0, memoryview(text)
         while start < end:
-            # Blocks of whole lines: stop just past the first newline after
-            # the nominal block size, or at the end of the text.
+            # Blocks of whole lines: stop just past the first newline after the
+            # nominal block size, or at the end of the text. Each is a view of the
+            # text but the last, which gets back its stripped "\n".
             stop = text.find(b"\n", start + _TEXT_BLOCK, end) + 1 or end
-            # The last block gets back its stripped "\n". Neither the block's
-            # bytes nor its rows outlive the step, so one block's worth of
-            # temporaries is live at a time.
-            tail = b"" if stop < end else b"\n"
-            block = _parse_block(text[start:stop] + tail, arities, n + 2)
+            buf = view[start:stop] if stop < end else text[start:end] + b"\n"
+            block = _parse_block(buf, arities, n + 2)
             rows[n : n + len(block)] = block
-            n += len(block)
-            start = stop
-            del block
-        # The blocks checked every value against its arity.
-        return cls._adopt(schema, rows)
+            n, start = n + len(block), stop
+            del block  # so one block's rows and temporaries are live at a time
+        rows.resize((n, p), refcheck=False)  # drops the rows that longer lines left over
+        return cls._adopt(schema, rows)  # the blocks checked every value against its arity
 
 
 def _check_schema(schema: Sequence[int]) -> tuple[int, ...]:
@@ -122,6 +120,8 @@ def _check_schema(schema: Sequence[int]) -> tuple[int, ...]:
         raise ValueError("schema must have at least one coordinate")
     if any(a < 1 for a in schema):
         raise ValueError("coordinate arities must be >= 1")
+    if any(a >= 10**_MAX_DIGITS for a in schema):  # so that a file's arity line can hold them
+        raise ValueError(f"coordinate arities must be below 10**{_MAX_DIGITS}")
     return schema
 
 
@@ -206,24 +206,25 @@ def _scan_block(buf: bytes, p: int) -> np.ndarray | None:
     return values.reshape(-1, p)
 
 
+def _grid_pattern(p: int) -> np.ndarray:
+    """A line of p zero cells as little-endian 16-bit (digit, separator) pairs."""
+    return np.frombuffer(b"0," * (p - 1) + b"0\n", dtype="<u2")
+
+
 def _read_grid(buf: bytes, p: int) -> np.ndarray | None:
     r"""(lines, p) uint8 values of a block whose every line is p one-digit
     cells separated by ``,`` and ended by ``\n``; None for any other block.
 
-    Such lines are 2p bytes each, so the block is a regular grid: its even
-    columns hold the digits, its odd columns the separators. Anything else,
-    including every malformed block, is left to _scan_block.
+    Read as 16-bit pairs less the pattern's, with wrap-around, a cell is at most
+    9 exactly when its first byte is a digit and its second the pattern's
+    separator. Every other block is left to _scan_block.
     """
-    width = 2 * p
-    if len(buf) % width:
+    if len(buf) % (2 * p):
         return None
-    grid = np.frombuffer(buf, dtype=np.uint8).reshape(-1, width)
-    if not ((grid[:, 1:-1:2] == ord(",")).all() and (grid[:, -1] == ord("\n")).all()):
+    cells = np.frombuffer(buf, dtype="<u2").reshape(-1, p) - _grid_pattern(p)
+    if (cells > 9).any():
         return None
-    values = grid[:, 0::2] - ord("0")  # bytes below "0" wrap past 9
-    if (values > 9).any():
-        return None
-    return values
+    return cells.astype(np.uint8)
 
 
 def _parse_block(buf: bytes, arities: np.ndarray, first_line: int) -> np.ndarray:
@@ -247,7 +248,7 @@ def _parse_block(buf: bytes, arities: np.ndarray, first_line: int) -> np.ndarray
             else:
                 lo = mid + 1
         _parse_block(buf[: starts[lo]], arities, first_line)  # earlier range errors first
-        line = buf[starts[lo] : starts[lo + 1]]
+        line = bytes(buf[starts[lo] : starts[lo + 1]])  # buf may be a view
         cells = line.count(b",") + 1
         if cells != p and _scan_block(line, cells) is not None:
             raise ValueError(
@@ -255,7 +256,8 @@ def _parse_block(buf: bytes, arities: np.ndarray, first_line: int) -> np.ndarray
                 f"indices, found {cells}"
             )
         raise ValueError(f"line {first_line + lo}: expected comma-separated category indices")
-    bad = np.flatnonzero(rows >= arities)
+    # In the rows' dtype, whose maximum exceeds a grid's digits and the scanner's values.
+    bad = np.flatnonzero(rows >= np.minimum(arities, np.iinfo(rows.dtype).max).astype(rows.dtype))
     if len(bad):
         r, c = divmod(int(bad[0]), p)
         raise ValueError(
@@ -295,10 +297,13 @@ def _on_line(lineno: int, parse, *args):
         raise ValueError(f"line {lineno}: {exc}") from None
 
 
-def _render_block(rows: np.ndarray) -> bytes:
-    r"""Lines of decimal cells, comma separated, each ended by ``\n``."""
+def _render_block(rows: np.ndarray) -> np.ndarray:
+    r"""The bytes, as an array, of lines of decimal cells, comma separated, each ended by ``\n``."""
     cells = rows.ravel()
     digits = len(str(int(cells.max())))
+    if digits == 1:  # the pairs _read_grid reads
+        pairs = np.add(rows, _grid_pattern(rows.shape[1]), dtype=np.uint16, casting="unsafe")
+        return pairs.astype("<u2", copy=False)
     # One row per cell: its digits right-aligned, then its separator. Zero
     # bytes pad short cells on the left and are dropped at the end.
     text = np.zeros((len(cells), digits + 1), dtype=np.uint8)
@@ -310,9 +315,7 @@ def _render_block(rows: np.ndarray) -> bytes:
         text[:, col] = np.where(rest > 0, rest % 10 + ord("0"), 0)
         rest //= 10
     flat = text.ravel()
-    if digits > 1:
-        flat = flat[flat != 0]
-    return flat.tobytes()
+    return flat[flat != 0]
 
 
 def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,6 +332,34 @@ def _first_occurrences(rows: np.ndarray) -> np.ndarray:
     """Indices of the distinct rows' first occurrences, in increasing order."""
     order, first = _row_groups(rows)
     return np.sort(order[first])
+
+
+def _edge_counter(inner: np.ndarray):
+    """x -> np.searchsorted(inner, x, side="right") for sorted finite edges, by an exact lookup:
+    a uniform grid of 4*len(inner) buckets over the edges gives x a bucket g, start[g] edges lie
+    in lower buckets (the grid map is monotone) and one comparison per edge in g adds the rest.
+    Edges crowded into few buckets, or no finite grid, get the binary search, which costs less."""
+    def search(x: np.ndarray) -> np.ndarray:
+        return np.searchsorted(inner, x, side="right")
+    if len(inner) < 4:  # then 2 * rows <= log2(len(inner)) below cannot hold
+        return search
+    lo, hi, size = float(inner[0]), float(inner[-1]), 4 * len(inner)
+    scale = size / (hi - lo) if 0.0 < hi - lo < math.inf else math.inf
+    if math.isfinite(scale):  # else the edges are equal, or their spread is subnormal or overflows
+        def bucket(x: np.ndarray) -> np.ndarray:  # clipped first: no infinity reaches the cast
+            return np.minimum(((np.clip(x, lo, hi) - lo) * scale).astype(np.intp), size - 1)
+        where = bucket(inner)
+        rank = np.arange(len(inner)) - np.searchsorted(where, where)  # place in its bucket
+        rows = int(rank.max()) + 1  # a pass each, against log2(len(inner)) search steps
+        if 2 * rows <= math.log2(len(inner)) and (rows + 1) * size <= _STATS_BLOCK:
+            start = np.searchsorted(where, np.arange(size))
+            table = np.full((rows, size), np.nan)  # row r: each bucket's r-th edge, NaN if none
+            table[rank, where] = inner
+            def lookup(x: np.ndarray) -> np.ndarray:
+                g = bucket(x)
+                return start[g] + sum(x >= row[g] for row in table)
+            return lookup
+    return search
 
 
 class TestFunction:

@@ -17,6 +17,7 @@ from .core import (
     Dataset,
     QueryFamily,
     _check_schema,
+    _edge_counter,
     _first_occurrences,
     _on_line,
     _row_dtype,
@@ -42,7 +43,7 @@ def _check_masses(masses: np.ndarray, name: str, whole: bool = True) -> np.ndarr
 def _inverse_cdf_sample(masses: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Indices drawn with probabilities ``masses``, one per uniform in ``u``, in its shape."""
     held = np.flatnonzero(masses > 0)  # the CDF rises only there, and adding 0.0 is exact
-    idx = np.searchsorted(np.cumsum(masses[held]), u, side="right")
+    idx = _edge_counter(np.cumsum(masses[held]))(u)
     # Masses sum to 1 only within rounding, so a uniform can land above the
     # CDF's last value; "clip" keeps it on the last positive mass.
     return np.take(held, idx, mode="clip", out=idx)

@@ -19,7 +19,8 @@ from dpsynth import (
     privacy_audit,
     reweighted_deviation_check,
 )
-from dpsynth.audit import _check_neighbors, _edge_counter
+from dpsynth.audit import _check_neighbors
+from dpsynth.core import _edge_counter
 
 
 @pytest.fixture
@@ -460,9 +461,10 @@ class TestPrivacyAudit:
 
 
 class TestEdgeCounter:
-    """The bucket lookup that bins the privacy audit's draws counts, for each
-    draw, the edges at or below it, as np.searchsorted(edges, x, side="right"),
-    and hands crowded edges to that binary search."""
+    """The bucket lookup that bins the privacy audit's draws (and finds the
+    sampler's indices) counts, for each draw, the edges at or below it, as
+    np.searchsorted(edges, x, side="right"), and hands crowded edges, or fewer
+    than four, to that binary search."""
 
     @staticmethod
     def assert_counts_as_binary_search(inner, x):

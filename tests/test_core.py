@@ -42,6 +42,15 @@ def datasets(draw):
 
 
 @st.composite
+def one_digit_datasets(draw):
+    """Datasets whose cells are all one digit, which the codec reads and writes as a grid."""
+    schema = draw(st.lists(st.integers(1, 10), min_size=1, max_size=40))
+    n = draw(st.integers(0, 50))
+    rows = [[draw(st.integers(0, a - 1)) for a in schema] for _ in range(n)]
+    return Dataset(schema, rows)
+
+
+@st.composite
 def schemas_and_families(draw):
     """A schema and a family of constant, monotone and assignment functions
     whose coordinates and values may fall outside it."""
@@ -227,6 +236,13 @@ class TestDatasetText:
         with pytest.raises(ValueError, match="^line 2: expected comma-separated category"):
             Dataset.from_text(f"2,2\n0,1{brk}1,0\n".encode())
 
+    def test_arities_must_fit_the_cell_grammar(self):
+        widest = Dataset((10**18 - 1,), [[10**18 - 2], [0]])
+        assert Dataset.from_text(widest.to_text()) == widest
+        for arity in (10**18, 10**18 + 1, 2**63):
+            with pytest.raises(ValueError, match=r"^coordinate arities must be below 10\*\*18$"):
+                Dataset((arity,), [[0]])
+
     def test_long_cells_parse_exactly(self):
         data = Dataset.from_text(b"999999999999999999,1000\n300,999\n123456789012345678,0\n")
         assert data.schema == (999999999999999999, 1000)
@@ -239,8 +255,8 @@ class TestDatasetText:
         assert Dataset.from_text(b" 3 ,\t2\n0 , 1\n\t2,0 \n 1\t,1\t\n \n") == plain
         assert Dataset.from_text(b"3,2\r\n 0 ,1 \r\n2,\t0\r\n1 , 1\r\n") == plain
 
-    @settings(max_examples=150, deadline=None)
-    @given(data=datasets())
+    @settings(max_examples=300, deadline=None)
+    @given(data=datasets() | one_digit_datasets())
     def test_codec_matches_reference_rendering(self, data):
         text = data.to_text()
         assert text == reference_to_text(data)
@@ -276,6 +292,32 @@ class TestDatasetText:
                     ]:
                         with pytest.raises(ValueError, match=message):
                             Dataset.from_text(text[:start] + bad + text[end:])
+
+    @pytest.mark.parametrize("row", [b"1,/", b"1,:", b"1+0", b"1-0", b"1,0\t0,1", b"1,0\v0,1"])
+    def test_bytes_beside_a_grids_digits_and_separators_are_not_cells(self, row):
+        # Each row keeps the grid's width but has a byte one away from the digit
+        # or separator expected in its place.
+        body = b"0,1\n" + row + b"\n"
+        assert _read_grid(body, 2) is None
+        with pytest.raises(ValueError, match="^line 3: expected comma-separated category"):
+            Dataset.from_text(b"20,20\n" + body)
+
+    def test_out_of_range_digits_deep_in_a_one_digit_file(self):
+        schema = (2, 10, 3, 1, 7)
+        rows = np.random.default_rng(8).integers(0, schema, size=(3 * _TEXT_BLOCK // 10, 5))
+        lines = Dataset(schema, rows).to_text().splitlines(keepends=True)
+        assert sum(map(len, lines[1:])) > 2 * _TEXT_BLOCK
+        # Line numbers count from 1, so line k is lines[k - 1].
+        for lineno, coord, bad in [(len(lines) // 2, 3, 3), (len(lines) - 1, 4, 1), (len(lines), 5, 9)]:
+            cells = lines[lineno - 1].rstrip(b"\n").split(b",")
+            cells[coord - 1] = str(bad).encode()
+            text = b"".join([*lines[: lineno - 1], b",".join(cells) + b"\n", *lines[lineno:]])
+            message = (
+                f"^invalid dataset: line {lineno}, coordinate {coord}: "
+                f"value {bad} is not below its arity {schema[coord - 1]}$"
+            )
+            with pytest.raises(ValueError, match=message):
+                Dataset.from_text(text)
 
     @settings(max_examples=400, deadline=None)
     @given(block=mutated_grids())

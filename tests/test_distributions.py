@@ -202,6 +202,7 @@ class TestInverseCdfSampling:
             [0.0, 1.0],
             [0.3, 0.7 - 5e-13, 0.0],  # the CDF ends below 1
             [1.0],
+            [0.0, *[1 / 31] * 31, 0.0],  # enough positive masses for the bucket lookup
         ],
     )
     def test_positive_masses_alone_give_the_full_cdfs_indices(self, masses):

@@ -44,10 +44,19 @@ def traced_peak(fn) -> float:
 def test_from_text_peak_stays_below_one_int64_copy_of_the_rows():
     text = Dataset((2,) * P, np.random.default_rng(1).integers(0, 2, (N, P))).to_text()
     peak = traced_peak(lambda: Dataset.from_text(text))
-    # Measured 8.6 MB: 6.4 MB of uint8 rows, then one ~1 MB slice of the
-    # text with about 1 MB of strided-reader temporaries; an int64 (n, p)
-    # array alone is 51.2 MB.
+    # Measured 8.0 MB: 6.4 MB of uint8 rows, then about 1.6 MB for one block
+    # of the text: its 16-bit cells, their uint8 copy and the checks' Boolean
+    # arrays; an int64 (n, p) array alone is 51.2 MB.
     assert peak < 11 * MB
+
+
+def test_to_text_peak_is_the_rendered_blocks_and_their_join():
+    data = Dataset((2,) * P, np.random.default_rng(1).integers(0, 2, (N, P)))
+    peak = traced_peak(data.to_text)
+    # Measured 25.6 MB: the rendered blocks, two bytes a cell, and the 12.8 MB
+    # text they are joined into. Each block's working arrays are freed before
+    # the next block is rendered.
+    assert peak < 28 * MB
 
 
 def test_bootstrap_peak_is_at_most_two_row_arrays():
