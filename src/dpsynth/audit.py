@@ -43,11 +43,14 @@ def _binomial_gate(rate: float, trials: int) -> float:
     return rate + 3.0 * math.sqrt(rate / trials)
 
 
-def _trial_rows(dist, trials: int, count: int, width: int, rng):
-    """The trials' rows, count each, in blocks of about _STATS_BLOCK cells of max(p, width)."""
-    step = max(1, _STATS_BLOCK // max(1, count * max(len(dist.schema), width)))
+def _trial_rows(dist, trials: int, count: int, queries: QueryFamily, rng):
+    """Blocks of the trials' rows, count each, and their (|F|, trials, count) Boolean tables."""
+    step = max(1, _STATS_BLOCK // max(1, count * max(len(dist.schema), len(queries))))
+    rng = np.random.default_rng(rng)  # once: each block continues its stream
     for start in range(0, trials, step):
-        yield dist._draw(min(step, trials - start), count, rng).reshape(-1, len(dist.schema))
+        rows = dist._draw(min(step, trials - start), count, rng).reshape(-1, len(dist.schema))
+        yield rows, queries.values_matrix(rows).reshape(len(queries), -1, count)
+        del rows  # before the next block is drawn
 
 
 @dataclass(frozen=True)
@@ -72,11 +75,10 @@ def deviation_check_empirical(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     threshold_n, _ = _accuracy_thresholds(len(queries), delta, gamma)
-    rng = np.random.default_rng(rng)
     exact = exact_statistics(population, queries)
     failures = 0
-    for rows in _trial_rows(population, trials, n, len(queries), rng):  # an n-row segment a trial
-        stats = queries._segment_counts(rows, n).T / n
+    for _, table in _trial_rows(population, trials, n, queries, rng):
+        stats = table.sum(axis=2, dtype=np.int32).T / n  # exact counts, a row a trial
         failures += int(np.count_nonzero(np.max(np.abs(stats - exact), axis=1) > delta))
     failure_rate = failures / trials
     gate = _binomial_gate(gamma, trials)
@@ -115,24 +117,21 @@ def reweighted_deviation_check(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(rng)
     exact = exact_statistics(population, queries)
     kappa = renyi_condition_number_exact(population, sampling)
     _, threshold_m = _accuracy_thresholds(len(queries), delta, gamma, kappa)
     failures = 0
     masses = []
-    for rows in _trial_rows(sampling, trials, m, len(queries), rng):
+    for rows, table in _trial_rows(sampling, trials, m, queries, rng):
         den = sampling.mass_many(rows)
         if (den == 0).any():
             raise ValueError("draws must lie in the sampling distribution's support")
-        weights = population.mass_many(rows) / den / m
-        held = queries.values_matrix(rows)
-        for start in range(0, len(rows), m):  # weighted_sums, per trial
-            trial = slice(start, start + m)
-            stats = queries._held_sums(held[:, trial], weights[trial])
+        weights = (population.mass_many(rows) / den / m).reshape(-1, m)
+        for t, trial in enumerate(weights):  # weighted_sums, per trial
+            stats = queries._held_sums(table[:, t], trial)
             failures += int(np.max(np.abs(stats - exact)) > delta)
-            masses.append(math.fsum(weights[trial].tolist()))
-        del rows, den, weights, held  # before the next block is drawn
+            masses.append(math.fsum(trial.tolist()))
+        del rows, table, den, weights  # before the next block is drawn
     failure_rate = failures / trials
     mean_r = math.fsum(masses) / trials
     gate = _binomial_gate(gamma, trials)

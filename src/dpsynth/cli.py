@@ -16,6 +16,7 @@ from .audit import (
 from .core import Dataset
 from .distributions import (
     ProductDistribution,
+    _real,
     parse_distribution_spec,
     renyi_condition_number_exact,
     renyi_condition_number_mc,
@@ -37,10 +38,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _seed(text: str) -> int:
+# Option numbers are written as spec numbers and dataset cells are: ASCII only, no underscores.
+def _integer(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError("must be a non-negative integer")
     return int(text)
+
+
+def _number(text: str) -> float:
+    try:
+        return _real(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be a number") from None
 
 
 def _load_text(spec: str) -> str:
@@ -148,21 +157,21 @@ _OPTIONS = {
     "queries": dict(required=True, help="query spec (file or inline)"),
     "d1": dict(required=True, help="dataset file"),
     "d2": dict(required=True, help="dataset file that neighbors --d1"),
-    "p": dict(type=int, required=True, help="Boolean coordinates"),
-    "d": dict(type=int, required=True, help="marginal order"),
-    "n": dict(type=int, required=True, help="records per drawn dataset"),
-    "k": dict(type=int, required=True, help="synthetic records to draw"),
-    "m": dict(type=int, required=True, help="reduced domain sample size"),
-    "delta": dict(type=float, required=True, help="per-statistic accuracy target"),
-    "gamma": dict(type=float, required=True, help="failure probability"),
-    "epsilon": dict(type=float, default=None, help="privacy budget to enforce (default: none)"),
-    "kappa-bound": dict(type=float, default=1.0, help="kappa bound that scales the m threshold"),
-    "sigma": dict(type=float, required=True, help="Laplace noise scale"),
-    "trials": dict(type=int, required=True, help="audit trials"),
-    "bins": dict(type=int, required=True, help="histogram bins"),
-    "slack": dict(type=float, default=DEFAULT_AUDIT_SLACK, help="allowed excess of epsilon_hat"),
-    "mc": dict(type=int, default=None, help="Monte Carlo sample count (default: exact)"),
-    "seed": dict(type=_seed, required=True, help="random seed"),
+    "p": dict(type=_integer, required=True, help="Boolean coordinates"),
+    "d": dict(type=_integer, required=True, help="marginal order"),
+    "n": dict(type=_integer, required=True, help="records per drawn dataset"),
+    "k": dict(type=_integer, required=True, help="synthetic records to draw"),
+    "m": dict(type=_integer, required=True, help="reduced domain sample size"),
+    "delta": dict(type=_number, required=True, help="per-statistic accuracy target"),
+    "gamma": dict(type=_number, required=True, help="failure probability"),
+    "epsilon": dict(type=_number, default=None, help="privacy budget to enforce (default: none)"),
+    "kappa-bound": dict(type=_number, default=1.0, help="kappa bound that scales the m threshold"),
+    "sigma": dict(type=_number, required=True, help="Laplace noise scale"),
+    "trials": dict(type=_integer, required=True, help="audit trials"),
+    "bins": dict(type=_integer, required=True, help="histogram bins"),
+    "slack": dict(type=_number, default=DEFAULT_AUDIT_SLACK, help="allowed excess of epsilon_hat"),
+    "mc": dict(type=_integer, default=None, help="Monte Carlo sample count (default: exact)"),
+    "seed": dict(type=_integer, required=True, help="random seed"),
     "out": dict(required=True, help="synthetic dataset output path"),
     "allow-privacy-failure": dict(action="store_true", help="do not enforce the privacy gate"),
     "export-noisy-targets": dict(action="store_true", help="report the noisy statistics too"),
@@ -207,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     for option in ("nu", "mu", "mc"):
         kap.add_argument(f"--{option}", **_OPTIONS[option])
     # Optional here, as only --mc draws. kappa prints its value alone, to stdout.
-    kap.add_argument("--seed", type=_OPTIONS["seed"]["type"], help="random seed for --mc")
+    kap.add_argument("--seed", type=_integer, help="random seed for --mc")
     kap.set_defaults(func=_cmd_kappa, echo=[], report=None)
     return parser
 

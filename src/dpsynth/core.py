@@ -27,15 +27,19 @@ class Dataset:
         given = np.asarray(rows)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # casting NaN or a complex number warns
-            arr = None if given.dtype.kind in "SU" else given.astype(np.int64, copy=False)
+            try:
+                arr = None if given.dtype.kind in "SU" else given.astype(np.int64, copy=False)
+            except OverflowError:  # an integer past int64, so past every arity
+                raise ValueError("row values must lie within the schema arities") from None
+            except (TypeError, ValueError):  # None, or another object the cast refuses
+                arr = None
         # The cast must give back the input: it would truncate a fraction, drop
         # an imaginary part, make NaN a number or parse text (use from_text).
         if arr is None or not (given.dtype.kind in "biu" or (arr == given).all()):
             raise ValueError("row values must be whole numbers")
         if arr.size == 0:
             arr = arr.reshape(0, len(self._schema))
-        if arr.ndim != 2 or arr.shape[1] != len(self._schema):
-            raise ValueError(f"rows must have shape (n, {len(self._schema)})")
+        _check_width(arr, len(self._schema))
         if arr.size and (arr.min() < 0 or (arr >= np.asarray(self._schema)).any()):
             raise ValueError("row values must lie within the schema arities")
         self._rows = arr.astype(_row_dtype(self._schema))
@@ -123,6 +127,11 @@ def _check_schema(schema: Sequence[int]) -> tuple[int, ...]:
     if any(a >= 10**_MAX_DIGITS for a in schema):  # so that a file's arity line can hold them
         raise ValueError(f"coordinate arities must be below 10**{_MAX_DIGITS}")
     return schema
+
+
+def _check_width(rows: np.ndarray, p: int) -> None:
+    if rows.ndim != 2 or rows.shape[1] != p:
+        raise ValueError(f"rows must have shape (n, {p})")
 
 
 def _row_dtype(schema: tuple[int, ...]) -> np.dtype:
@@ -515,20 +524,6 @@ class QueryFamily:
         """(|F|, n) Boolean table: whether each conjunction holds on each row."""
         return np.hstack([np.empty((len(self), 0), bool), *self._masks(rows)])
 
-    def _segment_counts(self, rows: np.ndarray, size: int) -> np.ndarray:
-        """Exact (|F|, n/size) counts of the rows each function holds on, per size-row segment."""
-        counts = np.zeros((len(self), rows.shape[0] // size), dtype=np.intp)
-        start = 0
-        for mask in self._masks(rows):
-            # The block starts in segment ``first``; the others start at the later offsets.
-            first = start // size
-            offsets = np.arange(first * size, start + mask.shape[1], size) - start
-            offsets[0] = 0
-            # int32 sums of a block are exact, and faster than intp's.
-            counts[:, first : first + len(offsets)] += np.add.reduceat(mask, offsets, 1, dtype=np.int32)
-            start += mask.shape[1]
-        return counts
-
     def weighted_sums(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """For every function, the compensated sum of the weights of the rows it
         holds on."""
@@ -557,7 +552,11 @@ def evaluate_all(queries: QueryFamily, data: Dataset) -> np.ndarray:
     if len(data) == 0:
         raise ValueError("empty dataset")
     queries.check_schema(data.schema)
-    return queries._segment_counts(data.rows, len(data))[:, 0] / len(data)
+    counts = np.zeros(len(queries), dtype=np.intp)
+    for mask in queries._masks(data.rows):
+        # int32 sums of a block are exact, and faster than intp's.
+        counts += mask.sum(axis=1, dtype=np.int32)
+    return counts / len(data)
 
 
 def accuracy_error(queries: QueryFamily, x: Dataset, y: Dataset) -> float:

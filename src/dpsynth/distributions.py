@@ -17,6 +17,7 @@ from .core import (
     Dataset,
     QueryFamily,
     _check_schema,
+    _check_width,
     _edge_counter,
     _first_occurrences,
     _on_line,
@@ -77,6 +78,7 @@ class ProductDistribution:
 
     def mass_many(self, rows: np.ndarray) -> np.ndarray:
         """The mass of each row: 0 when a cell lies outside its coordinate's range."""
+        _check_width(rows, len(self._vectors))
         out = np.ones(rows.shape[0])
         for v, cells in zip(self._vectors, rows.T):
             inside = (cells >= 0) & (cells < len(v))
@@ -135,6 +137,7 @@ class ExplicitDistribution:
 
     def mass_many(self, rows: np.ndarray) -> np.ndarray:
         """The mass of each row: its point's mass, or 0 when no point equals it."""
+        _check_width(rows, len(self.schema))
         points = len(self._points)
         # Group the points and the rows together; the points are distinct, so
         # a group holds at most one of them, and its rows take that point's mass.
@@ -200,11 +203,8 @@ def renyi_condition_number_exact(population, sampling) -> float:
 
 def renyi_condition_number_mc(population, sampling, samples: int, rng) -> float:
     """Monte Carlo estimate of kappa: average density ratio under the population."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     if population.schema != sampling.schema:
         raise ValueError("distributions must share a schema")
-    rng = np.random.default_rng(rng)
     draws = population.sample(samples, rng)
     p_mass = population.mass_many(draws.rows)
     q_mass = sampling.mass_many(draws.rows)

@@ -35,10 +35,7 @@ def laplace_vector(sigma: float, size, rng) -> np.ndarray:
     rng = np.random.default_rng(rng)
     u = rng.random(size)
     # u = 0 would map to an infinite draw; redraw the (measure-zero) hits.
-    while True:
-        zeros = u == 0.0
-        if not zeros.any():
-            break
+    while (zeros := u == 0.0).any():
         u[zeros] = rng.random(int(zeros.sum()))
     return _laplace_from_uniform(sigma, u)
 

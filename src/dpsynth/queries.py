@@ -21,18 +21,15 @@ def marginal_family(p: int, d: int, kind: str = "monotone") -> QueryFamily:
         raise ValueError("dimension p must be >= 1")
     if d < 0 or d > p:
         raise ValueError("marginal order d must satisfy 0 <= d <= p")
-    funcs = [TestFunction.constant_one()]
-    if kind == "monotone":
-        for size in range(1, d + 1):
-            for coords in combinations(range(p), size):
-                funcs.append(TestFunction.monotone(coords))
-    elif kind == "assignment":
-        for size in range(1, d + 1):
-            for coords in combinations(range(p), size):
-                for values in product((0, 1), repeat=size):
-                    funcs.append(TestFunction.assignment(coords, values))
-    else:
+    if kind not in ("monotone", "assignment"):
         raise ValueError("kind must be 'monotone' or 'assignment'")
+    funcs = [TestFunction.constant_one()]
+    for size in range(1, d + 1):
+        for coords in combinations(range(p), size):
+            if kind == "monotone":
+                funcs.append(TestFunction.monotone(coords))
+            else:
+                funcs += (TestFunction.assignment(coords, v) for v in product((0, 1), repeat=size))
     return QueryFamily(funcs)
 
 

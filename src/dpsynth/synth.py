@@ -56,8 +56,6 @@ class PipelineConfig:
 
 def bootstrap(density: ExplicitDistribution, count: int, rng) -> Dataset:
     """Draw count records i.i.d. from a finite density, such as the fitted one."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
     return density.sample(count, rng)
 
 

@@ -624,3 +624,22 @@ def test_negative_seed_is_a_usage_error(run, data_file, two_point_nu_file, tmp_p
     err = capsys.readouterr().err
     assert err.endswith("error: argument --seed: must be a non-negative integer\n")
     assert not (tmp_path / "synthetic.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("k", "\u0661\u0660", "must be a non-negative integer"),
+        ("k", "1_0", "must be a non-negative integer"),
+        ("delta", "\u0660.\u0662", "must be a number"),
+        ("delta", "0.2_5", "must be a number"),
+    ],
+)
+def test_option_numbers_take_ascii_digits_only(option, value, message, data_file, tmp_path, capsys):
+    """As in spec numbers and dataset cells: no other script's digits, no underscores."""
+    fill = {"data": data_file, "out": tmp_path / "synthetic.txt"}
+    argv = [arg.format(**fill) for arg in PINNED_RUNS["generate"]]
+    argv[argv.index(f"--{option}") + 1] = value
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(f"error: argument --{option}: {message}\n")
+    assert not (tmp_path / "synthetic.txt").exists()

@@ -126,7 +126,8 @@ class TestDataset:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "cell",
-        [0.7, 2.9, -0.5, math.nan, math.inf, Fraction(5, 2), Fraction(1, 2), 1 + 2j, "2", "x"],
+        [0.7, 2.9, -0.5, math.nan, math.inf, Fraction(5, 2), Fraction(1, 2), 1 + 2j, "2", "x",
+         None],
     )
     def test_cells_that_are_not_whole_numbers_rejected(self, cell):
         with pytest.raises(ValueError, match="whole numbers"):
@@ -377,7 +378,8 @@ class TestRowDtype:
     def test_cells_that_would_wrap_are_rejected_before_narrowing(self, arity):
         # -1 wraps to the dtype's maximum and the arity itself (the first
         # value out of range) to 0, unless the check runs on the wide values.
-        for bad in (-1, arity):
+        # Past int64, the cast itself overflows.
+        for bad in (-1, arity, 2**70, -(2**70)):
             with pytest.raises(ValueError, match="^row values must lie within the schema arities$"):
                 Dataset((2, arity), [[0, 0], [1, bad]])
         message = f"^invalid dataset: line 3, coordinate 2: value {arity} is not below its arity"

@@ -140,6 +140,14 @@ class TestExplicitDistribution:
         got = [dist.mass_many(rows).tolist() for dist in (product, enumerated(product))]
         assert got[0] == got[1] == pytest.approx([mass], abs=1e-15)
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_mass_many_refuses_rows_of_another_width(self, width):
+        product = ProductDistribution([[0.3, 0.7], [0.6, 0.4]])
+        rows = np.zeros((2, width), dtype=np.int64)
+        for dist in (product, enumerated(product)):
+            with pytest.raises(ValueError, match=r"^rows must have shape \(n, 2\)$"):
+                dist.mass_many(rows)
+
     def test_mass_off_support_is_zero(self):
         dist = ExplicitDistribution(Dataset((3,), [[0], [2]]), [0.25, 0.75])
         assert mass_at(dist, (1,)) == 0.0

@@ -117,22 +117,17 @@ def test_block_boundaries(offset, blocks):
 
 
 @pytest.mark.parametrize("size_in_blocks", [0.001, 0.37, 1.0, 2.2])
-def test_segment_counts_are_each_segments_statistics(size_in_blocks):
-    """Segments shorter than a kernel block, straddling its boundaries, equal
-    to it and longer than it."""
+def test_evaluate_all_sums_every_kernel_block(size_in_blocks):
+    """Datasets far shorter than a kernel block, a fraction of one, exactly
+    one, and over two blocks and part of a third, whose sums add up."""
     p = 9
     family = QueryFamily([
         *marginal_family(p, 2, "monotone"),
         TestFunction.assignment((0, 4, 8), (1, 0, 1)),
     ])
-    size = max(1, int(size_in_blocks * block_rows(family)))
-    segments = 3 * block_rows(family) // size + 1
-    rows = np.random.default_rng(size).integers(0, 2, size=(segments * size, p))
-    counts = family._segment_counts(rows, size)
-    assert counts.shape == (len(family), segments)
-    for s in range(segments):
-        segment = Dataset((2,) * p, rows[s * size : (s + 1) * size])
-        assert np.array_equal(counts[:, s] / size, evaluate_all(family, segment))
+    n = max(1, int(size_in_blocks * block_rows(family)))
+    rows = np.random.default_rng(n).integers(0, 2, size=(n, p))
+    assert np.array_equal(evaluate_all(family, Dataset((2,) * p, rows)), oracle.means(family, rows))
 
 
 # Schemas whose rows are held as uint8, uint16 or uint32; (300, 300, 3),
