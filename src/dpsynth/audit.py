@@ -77,9 +77,10 @@ def deviation_check_empirical(
     threshold_n, _ = _accuracy_thresholds(len(queries), delta, gamma)
     exact = exact_statistics(population, queries)
     failures = 0
-    for _, table in _trial_rows(population, trials, n, queries, rng):
+    for rows, table in _trial_rows(population, trials, n, queries, rng):
         stats = table.sum(axis=2, dtype=np.int32).T / n  # exact counts, a row a trial
         failures += int(np.count_nonzero(np.max(np.abs(stats - exact), axis=1) > delta))
+        del rows, table  # before the next block is drawn
     failure_rate = failures / trials
     gate = _binomial_gate(gamma, trials)
     return DeviationCheckResult(

@@ -522,7 +522,12 @@ class QueryFamily:
 
     def values_matrix(self, rows: np.ndarray) -> np.ndarray:
         """(|F|, n) Boolean table: whether each conjunction holds on each row."""
-        return np.hstack([np.empty((len(self), 0), bool), *self._masks(rows)])
+        table = np.empty((len(self), rows.shape[0]), bool)
+        end = 0
+        for mask in self._masks(rows):
+            end += mask.shape[1]
+            table[:, end - mask.shape[1] : end] = mask
+        return table
 
     def weighted_sums(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """For every function, the compensated sum of the weights of the rows it

@@ -2,16 +2,18 @@
 
 Solves
     minimize t  s.t.  |(A h)_j - b_j| <= t for all j,  h >= 0,  sum(h) = 1
-with a revised primal simplex on the standard form (one slack pair per
-statistic) that keeps only the inverse of the (2|F|+1)-square basis. Any
-point mass on the reduced domain is feasible, so the solve starts from that
-vertex and needs no phase-1. Pricing is Devex (Forrest and Goldfarb, Math.
-Prog. 1992) on reduced costs updated from each pivot row, one product over the
-domain per pivot, and recomputed from the duals at each factorization.
+by column generation (Gondzio, EJOR 2012) around Mehrotra's predictor-corrector
+(SIAM J. Optim. 1992). The master is the standard form over a working set W of
+support points: A_W h - t + s+ = b, -A_W h - t + s- = -b, sum(h) = 1, all
+variables >= 0, cost t. Its (2|F|+1)-square normal matrix, built from
+K = A_W D A_W^T, is solved through its Cholesky factor. "optimal" is
+certified by a dual bound over every support point, and a fit is
+bit-reproducible at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +21,8 @@ import numpy as np
 from .core import Dataset, QueryFamily, _first_occurrences
 from .distributions import ExplicitDistribution
 
-PIVOT_TOL = 1e-9
+VALUE_TOL = 1e-9
 OPTIMALITY_GAP = 1e-7
-# Consecutive degenerate pivots tolerated before switching to Bland's rule.
-DEGENERACY_TRIP = 40
-# Pivots between recomputations of the basis inverse, bounding rank-1 update drift.
-REFACTOR_INTERVAL = 64
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,7 @@ class FitProblem:
             raise ValueError("problem must have at least one function and one point")
         if not np.isfinite(a).all() or not np.isfinite(b).all():
             raise ValueError("values and targets must be finite")
-        if (a > 1.0 + PIVOT_TOL).any() or (a < -1.0 - PIVOT_TOL).any():
+        if (a > 1.0 + VALUE_TOL).any() or (a < -1.0 - VALUE_TOL).any():
             raise ValueError("function values must lie in [-1, 1]")
         a.setflags(write=False)
         b.setflags(write=False)
@@ -79,126 +77,139 @@ def build_lp(
     )
 
 
-def _columns(a: np.ndarray, idx) -> np.ndarray:
-    """Standard-form columns idx: points (a_i, -a_i, 1), t (-1, ..., -1, 0), unit slacks."""
-    nf, m = a.shape
-    idx = np.asarray(idx)
-    cols = np.zeros((2 * nf + 1, len(idx)))
-    pts = np.flatnonzero(idx < m)
-    cols[:nf, pts] = a[:, idx[pts]]
-    cols[nf:-1, pts] = -a[:, idx[pts]]
-    cols[-1, pts] = 1.0
-    cols[:-1, idx == m] = -1.0
-    slacks = np.flatnonzero(idx > m)
-    cols[idx[slacks] - m - 1, slacks] = 1.0
-    return cols
+def _step(v: np.ndarray, dv: np.ndarray, fraction: float = 1.0) -> float:
+    """The step along dv, at most 1, that goes ``fraction`` of the way to v's boundary (v > 0)."""
+    return fraction / max(-float((dv / v).min()), fraction)
+
+
+def _interior_point(a: np.ndarray, b: np.ndarray, working: np.ndarray, budget: int):
+    """Mehrotra's predictor-corrector on the master over the support points ``working``.
+
+    Returns the weights h, the duals y = (y+, y-, y_sum), the iterations taken
+    and whether the stopping test was met within ``budget`` iterations.
+    """
+    nf, w = len(b), len(working)
+    n = 2 * nf + 1
+    # Standard-form columns: points (a_i, -a_i, 1), t (-1, ..., -1, 0), unit slacks.
+    master = np.zeros((n, w + n))
+    master[:nf, :w] = a[:, working]
+    a = master[:nf, :w]
+    master[nf:-1, :w] = -a
+    master[-1, :w] = 1.0
+    master[:-1, w] = -1.0
+    np.fill_diagonal(master[:-1, w + 1 :], 1.0)
+    rhs = np.concatenate([b, -b, [1.0]])
+    cost = np.zeros(w + n)
+    cost[w] = 1.0
+    # Start from uniform h, t = 1, slacks max(t -+ residual, 1), multipliers 1 and y = 0.
+    resid = a.mean(axis=1) - b
+    x = np.concatenate([np.full(w, 1 / w), [1], np.maximum(1 - resid, 1), np.maximum(1 + resid, 1)])
+    z = np.ones(w + n)
+    y = np.zeros(n)
+    blocks = range(0, n, 64)
+    normal = np.empty((n, n))
+    last = np.inf
+    for iteration in itertools.count():
+        r_p = rhs - master @ x
+        r_d = cost - y @ master - z
+        gap = abs(x[w] - rhs @ y) / (1 + x[w])
+        error = max(np.abs(r_p).max() / (1 + np.abs(rhs).max()), np.abs(r_d).max() / 2, gap)
+        # Stop once the relative residuals and gap are below 1e-9 and an iteration
+        # no longer shrinks them tenfold, or once x . z is at rounding level,
+        # past which the iterates only crowd the boundary until x / z overflows.
+        if (last < 1e-9 and error > last / 10) or x @ z < 1e-14 * (1 + x[w]):
+            return x[:w], y, iteration, True
+        if iteration == budget:
+            return x[:w], y, iteration, False
+        last = error
+        # The normal matrix M D M^T of the master M, D = x / z, from K = A D_h A^T.
+        d = x / z
+        dh = d[:w]
+        k = (a * dh) @ a.T
+        g = a @ dh
+        normal[:nf, :nf] = normal[nf:-1, nf:-1] = k
+        normal[:nf, nf:-1] = normal[nf:-1, :nf] = -k
+        normal[:-1, :-1] += d[w]
+        normal[:nf, -1] = normal[-1, :nf] = g
+        normal[nf:-1, -1] = normal[-1, nf:-1] = -g
+        normal[-1, -1] = dh.sum()
+        normal.flat[: n * n - 1 : n + 1] += d[w + 1 :]
+        ridge = 1e-14 * np.trace(normal) / n
+        for _ in range(7):  # a ridge of up to 1e-2 of the mean diagonal
+            normal.flat[:: n + 1] += ridge
+            try:
+                factor = np.linalg.cholesky(normal)
+                break
+            except np.linalg.LinAlgError:
+                ridge *= 100.0
+        else:
+            raise RuntimeError("normal matrix is not positive definite; inputs are malformed")
+        inverses = [np.linalg.inv(factor[s : s + 64, s : s + 64]) for s in blocks]
+
+        def direction(rc):  # the Newton direction towards x * z = rc
+            dy = r_p + master @ (d * r_d - rc / z)
+            for s, inverse in zip(blocks, inverses):  # forward substitution by blocks
+                dy[s : s + 64] = inverse @ dy[s : s + 64]
+                dy[s + 64 :] -= factor[s + 64 :, s : s + 64] @ dy[s : s + 64]
+            for s, inverse in zip(reversed(blocks), reversed(inverses)):  # back substitution
+                dy[s : s + 64] = inverse.T @ dy[s : s + 64]
+                dy[:s] -= factor[s : s + 64, :s].T @ dy[s : s + 64]
+            dz = r_d - dy @ master
+            return (rc - x * dz) / z, dy, dz
+
+        dx, dy, dz = direction(-x * z)  # predictor
+        mu = x @ z / len(x)
+        sigma = ((x + _step(x, dx) * dx) @ (z + _step(z, dz) * dz) / len(x) / mu) ** 3
+        dx, dy, dz = direction(sigma * mu - x * z - dx * dz)  # corrector
+        x = x + _step(x, dx, 0.99) * dx
+        step = _step(z, dz, 0.99)
+        y = y + step * dy
+        z = z + step * dz
+        del factor, inverses  # before the next factorization
 
 
 def solve_min_max(problem: FitProblem, max_iterations: int | None = None) -> FitSolution:
     """Global minimizer of the worst absolute residual over densities.
 
-    Deterministic at a fixed BLAS thread count: identical problems give
-    bit-identical solutions. Entering columns take the largest d_j^2 / w_j over
-    reduced costs d_j < -PIVOT_TOL and Devex weights w_j (lowest index on ties).
-    Devex can cycle, so a run of more than DEGENERACY_TRIP degenerate pivots
-    switches to Bland's rule until the next nondegenerate pivot, with the
-    weights frozen meanwhile. Bland's rule cannot cycle from any basis, so each
-    degenerate run ends, and each nondegenerate pivot strictly lowers t: the
-    solve terminates. "optimal" means a fresh factorization prices no column as
-    improving. On hitting the iteration limit the current (still feasible)
-    iterate is returned with status "iteration-limit".
+    W starts as the first max(2|F|+1, 64) support points. Each round prices
+    point i by -((y+ - y-) . a_i + y_sum) and adds up to max(2|F|, 50) of the
+    most negative prices below -OPTIMALITY_GAP. The weights are the master's,
+    renormalized (zero off W), and ``objective`` is their worst residual.
+    "optimal" means a pricing pass over all points found nothing to add and
+    the objective is within OPTIMALITY_GAP of the dual bound those prices
+    certify. ``max_iterations`` caps the interior-point iterations summed over
+    rounds (``iterations``); at the cap the current weights (at 0, the uniform
+    start) are returned with status "iteration-limit". Deterministic at a
+    fixed BLAS thread count: identical problems give bit-identical solutions.
     """
-    a = problem.values
-    b = problem.targets
+    a, b = problem.values, problem.targets
     nf, m = a.shape
-    n_rows = 2 * nf + 1
-    t_col = m  # column order: h variables, t, upper slacks, lower slacks
     if max_iterations is None:
-        max_iterations = 5000 + 10 * n_rows
-    rhs = np.concatenate([b, -b, [1.0]])
-
-    # Feasible starting vertex: all mass on the first support point. The slack
-    # of the row with the largest residual leaves the basis (t replaces it).
-    resid = a[:, 0] - b
-    j_star = int(np.argmax(np.abs(resid)))
-    leaving = m + 1 + j_star + (nf if resid[j_star] < 0 else 0)
-    slacks = np.arange(m + 1, m + 1 + 2 * nf)
-    basis = np.concatenate([[0, t_col], slacks[slacks != leaving]])
-
-    def factorize():  # [B^-1 | x_B] from the basis columns
-        binv = np.linalg.inv(_columns(a, basis))
-        return np.column_stack([binv, binv @ rhs])
-
-    def row_times_columns(v):  # v @ every standard-form column: one product over A
-        return np.concatenate([(v[:nf] - v[nf:-1]) @ a + v[-1], [-v[:-1].sum()], v[:-1]])
-
-    inv = factorize()
-    np.maximum(inv[:, -1], 0.0, out=inv[:, -1])
-    buf = np.empty_like(inv)  # the rank-1 update's outer product
-    n_cols = m + 1 + 2 * nf
-    w = np.ones(n_cols)  # Devex reference weights
-    stale = 0  # rank-1 updates since the last factorization
+        max_iterations = 1000
+    working = np.arange(min(m, max(2 * nf + 1, 64)))
     iterations = 0
-    degenerate_run = 0
-    bland = False
     while True:
-        if stale >= REFACTOR_INTERVAL:
-            inv, stale = factorize(), 0
-        if not stale:  # full pricing from the duals c_B B^-1; the cost vector is e_t
-            d = -row_times_columns((basis == t_col) @ inv[:, :-1])  # y = 0 while t is nonbasic
-            d[m] += 1.0
-            d[basis] = 0.0  # what basic columns price to in exact arithmetic
-        # Bland's rule: the first improving column; Devex: the largest d_j^2 / w_j,
-        # and any improving column outscores the -1 of the others.
-        improving = d < -PIVOT_TOL
-        q = int(np.argmax(improving if bland else np.where(improving, d * d / w, -1.0)))
-        optimal = d[q] >= -PIVOT_TOL
-        if optimal or iterations >= max_iterations:
-            if stale:  # price again, and read the weights, on a fresh factorization
-                stale = REFACTOR_INTERVAL
-                continue
-            status = "optimal" if optimal else "iteration-limit"
+        h, y, used, converged = _interior_point(a, b, working, max_iterations - iterations)
+        iterations += used
+        u = y[:nf] - y[nf:-1]
+        g = u @ a
+        prices = -(g + y[-1])
+        prices[working] = 0.0
+        entering = np.flatnonzero(prices < -OPTIMALITY_GAP)
+        if not (converged and len(entering)) or iterations >= max_iterations:
             break
-        entering = np.concatenate([a[:, q], -a[:, q], [1.0]]) if q < m else _columns(a, [q])[:, 0]
-        col = inv[:, :-1] @ entering
-        pos = col > PIVOT_TOL
-        if not pos.any():
-            raise RuntimeError("fit problem is unbounded; inputs are malformed")
-        ratios = np.full(n_rows, np.inf)
-        ratios[pos] = np.maximum(inv[pos, -1], 0.0) / col[pos]
-        best = ratios.min()
-        ties = np.flatnonzero(ratios == best)
-        leave = int(ties[np.argmin(basis[ties])])
-        degenerate_run = degenerate_run + 1 if best <= 1e-12 else 0
-        bland = degenerate_run > DEGENERACY_TRIP
-        pivot_row = inv[leave] / col[leave]
-        alpha = row_times_columns(pivot_row[:-1])  # the tableau's row leave, over col[leave]
-        if not bland:  # Bland's small pivots would blow the weights up
-            np.maximum(w, np.square(alpha) * w[q], out=w)
-            w[basis[leave]] = max(w[q] / col[leave] ** 2, 1.0)
-        d -= d[q] * alpha
-        np.multiply.outer(col, pivot_row, out=buf)
-        inv -= buf
-        inv[leave] = pivot_row
-        basis[leave] = q
-        d[basis] = 0.0
-        iterations += 1
-        stale += 1
+        order = np.argsort(prices[entering], kind="stable")[: max(2 * nf, 50)]
+        working = np.concatenate([working, entering[order]])
 
-    x = np.zeros(n_cols)
-    x[basis] = inv[:, -1]
-    weights = x[:m].copy()
-    if (weights < -1e-9).any():
-        raise RuntimeError("solver produced negative weights beyond tolerance")
-    np.clip(weights, 0.0, None, out=weights)
-    weights /= weights.sum()
-    objective = max(float(x[t_col]), 0.0)
-    # Residual certificate against the original data; every simplex iterate is
-    # feasible, so this only catches accumulated numerical drift.
-    worst = float(np.max(np.abs(a @ weights - b)))
-    if worst > objective + OPTIMALITY_GAP:
+    status = "optimal" if converged and not len(entering) else "iteration-limit"
+    weights = np.zeros(m)
+    weights[working] = h / h.sum()
+    objective = float(np.max(np.abs(a[:, working] @ weights[working] - b)))
+    # Any w with |w|_1 <= 1 bounds t* below by min_i w . a_i - w . b; take w = -u.
+    bound = (u @ b - g.max()) / max(1.0, float(np.abs(u).sum()))
+    if status == "optimal" and objective > bound + OPTIMALITY_GAP:
         raise RuntimeError(
-            f"residual certificate failed: {worst:.3e} > {objective:.3e} + {OPTIMALITY_GAP:.1e}"
+            f"dual certificate failed: {objective:.3e} > {bound:.3e} + {OPTIMALITY_GAP:.1e}"
         )
     return FitSolution(
         density=ExplicitDistribution(problem.support, weights),

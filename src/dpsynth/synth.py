@@ -168,7 +168,9 @@ def generate(
     problem = build_lp(queries, reduced, noisy)
     solution = solve_min_max(problem)
     if solution.status != "optimal":
-        raise FitGateError(f"min-max fit stopped: {solution.status} after {solution.iterations} pivots")
+        raise FitGateError(
+            f"min-max fit stopped: {solution.status} after {solution.iterations} iterations"
+        )
     synthetic = bootstrap(
         solution.density, config.synthetic_size, np.random.default_rng(boot_seq)
     )

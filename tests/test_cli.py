@@ -87,7 +87,7 @@ class TestGenerateCommand:
         code, out, _ = run_generate(data_file, tmp_path)
         assert code == EXIT_GATE
         err = capsys.readouterr().err
-        assert err == "error: min-max fit stopped: iteration-limit after 0 pivots\n"
+        assert err == "error: min-max fit stopped: iteration-limit after 0 iterations\n"
         assert not out.exists()
 
     def test_allow_privacy_failure_overrides_gate(self, data_file, tmp_path):

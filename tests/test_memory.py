@@ -20,9 +20,13 @@ from dpsynth import (
     bootstrap,
     build_lp,
     deviation_check_empirical,
+    evaluate_all,
+    laplace_vector,
     marginal_family,
     privacy_audit,
+    privacy_check,
     reweighted_deviation_check,
+    solve_min_max,
 )
 from dpsynth.core import _STATS_BLOCK
 
@@ -104,6 +108,21 @@ def test_deviation_check_peak_does_not_grow_with_trials():
     assert abs(forty - base) <= 1 * MB
 
 
+def test_deviation_check_holds_one_boolean_table_of_a_trial():
+    population = ProductDistribution.uniform((2,) * 24)
+    family = marginal_family(24, 2, "monotone")
+    n = 100_000  # one trial's (|F|, n) table is 30.1 MB, more than one kernel block
+
+    def check():
+        return deviation_check_empirical(population, family, n, 0.2, 0.1, 3, 3)
+
+    check()
+    # Measured 33.3 MB: the table, one kernel block and the trial's rows. Joining
+    # the blocks with np.hstack, with the previous trial's table still held,
+    # read 95.1 MB.
+    assert traced_peak(check) <= 40 * MB
+
+
 def test_reweighted_check_peak_does_not_grow_with_trials():
     # 64 coordinates make a block 6 trials of 625 draws, so few weights are summed.
     uniform = ProductDistribution.uniform((2,) * 64)
@@ -126,3 +145,20 @@ def test_build_lp_peak_is_one_float_copy_of_the_table():
     # Measured 10.5 MB: the float64 values (8 bytes a cell) plus the Boolean
     # table and its mask blocks (1 byte a cell each).
     assert peak <= 1.5 * problems[0].values.nbytes
+
+
+def test_solver_peak_is_well_under_one_float_copy_of_the_table():
+    # A fit-d2-sized fit that takes three column-generation rounds.
+    rng = np.random.default_rng(3)
+    family = marginal_family(16, 2, "monotone")
+    data = Dataset((2,) * 16, rng.integers(0, 2, size=(1000, 16)))
+    sigma = privacy_check(1000, None, 0.2, len(family), 0.1).sigma
+    targets = evaluate_all(family, data) + laplace_vector(sigma, len(family), rng)
+    domain = ProductDistribution.uniform((2,) * 16).sample(8000, rng)
+    problem = build_lp(family, domain, targets)
+    solve_min_max(problem)
+    peak = traced_peak(lambda: solve_min_max(problem))
+    # Measured 4.5 MB: the standard-form master over 823 working points (2.4 MB),
+    # the normal matrix and its Cholesky factor. A float copy of the values
+    # would add 8.2 MB.
+    assert peak <= 0.6 * problem.values.nbytes

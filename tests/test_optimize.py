@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,7 @@ from dpsynth import (
     privacy_check,
     solve_min_max,
 )
-from dpsynth import optimize
-from dpsynth.optimize import PIVOT_TOL, REFACTOR_INTERVAL
+from dpsynth.optimize import VALUE_TOL
 from grid_oracle import grid_minimax, grid_minimax_dense
 
 
@@ -101,7 +102,7 @@ class TestFitProblemValidation:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_value_range_boundary(self, sign):
         support = Dataset((2,), [[0]])
-        limit = sign * (1.0 + PIVOT_TOL)
+        limit = sign * (1.0 + VALUE_TOL)
         at = FitProblem(values=np.array([[limit]]), targets=np.array([0.0]), support=support)
         assert at.values[0, 0] == limit
         beyond = np.nextafter(limit, sign * np.inf)
@@ -223,6 +224,19 @@ class TestSolveMinMax:
         assert solution.status == "optimal"
         assert solution.objective <= 0.05
 
+    def test_iteration_cap_counts_every_round(self):
+        problem = pipeline_sized_problem(7)
+        full = solve_min_max(problem)
+        assert full.status == "optimal"
+        # column generation added points to the first 2|F| + 1
+        assert np.count_nonzero(full.density.weights) > 2 * 137 + 1
+        capped = solve_min_max(problem, max_iterations=full.iterations - 1)
+        assert capped.status == "iteration-limit"
+        assert capped.iterations == full.iterations - 1
+        w = capped.density.weights
+        assert (w >= 0).all()
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_objective_never_negative(self):
         rng = np.random.default_rng(808)
         for _ in range(20):
@@ -243,17 +257,19 @@ def pipeline_sized_problem(seed, p=16, d=2, n=1000, m=8000):
 
 
 def highs_min_max(problem):
-    """Optimal worst residual from scipy's HiGHS on the same LP in inequality form."""
+    """Optimal worst residual from scipy's HiGHS on the same LP in inequality form,
+    handed over sparse so that instance C's constraint matrix stays small."""
+    from scipy import sparse
     from scipy.optimize import linprog
 
-    a, b = problem.values, problem.targets
+    a, b = sparse.csr_matrix(problem.values), problem.targets
     nf, m = a.shape
     cost = np.zeros(m + 1)
     cost[-1] = 1.0
     t_col = -np.ones((nf, 1))
     result = linprog(
         cost,
-        A_ub=np.block([[a, t_col], [-a, t_col]]),
+        A_ub=sparse.bmat([[a, t_col], [-a, t_col]], format="csr"),
         b_ub=np.concatenate([b, -b]),
         A_eq=np.append(np.ones(m), 0.0)[None, :],
         b_eq=[1.0],
@@ -267,38 +283,36 @@ def highs_min_max(problem):
 class TestAgainstHighs:
     def test_pipeline_sized_fits_match_highs(self):
         pytest.importorskip("scipy")
-        pivots = []
         for seed in (6, 7):
             problem = pipeline_sized_problem(seed)
             assert problem.values.shape[0] == 137
             solution = solve_min_max(problem)
             assert solution.status == "optimal"
             assert solution.objective == pytest.approx(highs_min_max(problem), abs=1e-9)
-            pivots.append(solution.iterations)
-        # the basis inverse must have been refactorized along the way
-        assert max(pivots) > REFACTOR_INTERVAL
 
-    @pytest.mark.parametrize(
-        "constant, value",
-        [
-            ("REFACTOR_INTERVAL", 1),  # every reduced cost comes from fresh duals
-            ("REFACTOR_INTERVAL", 10**6),  # only the pivot-row updates until the last pricing
-            ("DEGENERACY_TRIP", -1),  # Bland's rule from the second pivot, weights frozen
-        ],
-    )
-    def test_updated_costs_and_bland_fallback_match_highs(self, monkeypatch, constant, value):
+    def test_instance_c_matches_highs(self):
+        # Order-2 marginals at p = 24 (|F| = 301), n = 3,000, m = 20,000, the paper's sigma.
         pytest.importorskip("scipy")
-        monkeypatch.setattr(optimize, constant, value)
-        problem = pipeline_sized_problem(6, m=2000)
+        p, n, m = 24, 3000, 20_000
+        family = marginal_family(p, 2, "monotone")
+        schema = (2,) * p
+        data = Dataset(schema, np.random.default_rng(11).integers(0, 2, size=(n, p)))
+        noise_seq, domain_seq, _ = np.random.SeedSequence(12).spawn(3)
+        sigma = privacy_check(n, None, 0.2, len(family), 0.1).sigma
+        noise = laplace_vector(sigma, len(family), np.random.default_rng(noise_seq))
+        domain = ProductDistribution.uniform(schema).sample(m, np.random.default_rng(domain_seq))
+        problem = build_lp(family, domain, evaluate_all(family, data) + noise)
+        start = time.perf_counter()
         solution = solve_min_max(problem)
+        elapsed = time.perf_counter() - start
         assert solution.status == "optimal"
-        assert solution.objective == pytest.approx(highs_min_max(problem), abs=1e-9)
+        assert elapsed <= 30.0
+        assert solution.objective == pytest.approx(highs_min_max(problem), abs=1e-7)
 
 
-def test_consistent_targets_reach_zero_with_t_out_of_the_basis():
-    # b = A h0 for a density h0 on the support, so t* = 0. On 10 of the 40
-    # small instances t leaves the basis, and the duals read from its row must
-    # then be zero rather than an index error.
+def test_consistent_targets_reach_zero():
+    # b = A h0 for a density h0 on the support, so t* = 0 and the optimum is
+    # degenerate: t and every slack are zero together.
     rng = np.random.default_rng(8)
     problems = [pipeline_sized_problem(8)]
     problems += [random_problem(rng, max_functions=5, max_points=6) for _ in range(40)]
@@ -315,11 +329,9 @@ def test_consistent_targets_reach_zero_with_t_out_of_the_basis():
         assert np.abs(residual).max() <= 1e-7
 
 
-def test_point_mass_targets_leave_blands_rule_after_the_degenerate_run():
-    # Targets that are one support point's column (t* = 0) give a run of
-    # degenerate Devex pivots that trips Bland's rule. Bland's rule must hold
-    # only until the next nondegenerate pivot: kept on, it runs here to the
-    # iteration limit and ends on infeasible weights.
+def test_point_mass_targets_reach_zero():
+    # Targets that are one support point's column (t* = 0) make the optimum a
+    # degenerate vertex, where the normal matrix is close to singular.
     problem = pipeline_sized_problem(7)
     point_mass = FitProblem(
         values=problem.values, targets=problem.values[:, 7111], support=problem.support

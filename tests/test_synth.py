@@ -305,7 +305,7 @@ class TestGenerate:
         monkeypatch.setattr(
             synth, "solve_min_max", functools.partial(optimize.solve_min_max, max_iterations=0)
         )
-        with pytest.raises(FitGateError, match="iteration-limit after 0 pivots"):
+        with pytest.raises(FitGateError, match="iteration-limit after 0 iterations"):
             generate(data, family, sampling, config)
 
     def test_allow_privacy_failure_proceeds(self, pipeline_inputs):
