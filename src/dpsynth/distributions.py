@@ -19,7 +19,6 @@ from .core import (
     _check_schema,
     _check_width,
     _edge_counter,
-    _first_occurrences,
     _on_line,
     _row_dtype,
     _row_groups,
@@ -35,7 +34,7 @@ def _check_masses(masses: np.ndarray, name: str, whole: bool = True) -> np.ndarr
     within 1e-12."""
     if not (np.isfinite(masses) & (masses >= 0)).all():
         raise ValueError(f"{name} must be nonnegative and finite")
-    if whole and abs(math.fsum(masses) - 1.0) > 1e-12:
+    if whole and abs(math.fsum(masses[masses > 0].tolist()) - 1.0) > 1e-12:  # adding 0.0 is exact
         raise ValueError(f"{name} must sum to 1 within 1e-12")
     masses.setflags(write=False)
     return masses
@@ -118,7 +117,7 @@ class ExplicitDistribution:
         if len(points) == 0:
             raise ValueError("need at least one point")
         _check_masses(w, "masses")
-        if len(_first_occurrences(points.rows)) != len(points):
+        if not _row_groups(points.rows)[1].all():
             raise ValueError("points must be distinct")
         self._points = points
         self._weights = w

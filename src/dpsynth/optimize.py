@@ -5,10 +5,10 @@ Solves
 by column generation (Gondzio, EJOR 2012) around Mehrotra's predictor-corrector
 (SIAM J. Optim. 1992). The master is the standard form over a working set W of
 support points: A_W h - t + s+ = b, -A_W h - t + s- = -b, sum(h) = 1, all
-variables >= 0, cost t. Its (2|F|+1)-square normal matrix, built from
-K = A_W D A_W^T, is solved through its Cholesky factor. "optimal" is
-certified by a dual bound over every support point, and a fit is
-bit-reproducible at a fixed BLAS thread count.
+variables >= 0, cost t. Its normal equations, with y+ + y- eliminated, are
+solved at size |F|+1 through the Cholesky factor of a matrix built from
+K = A_W D A_W^T. "optimal" is certified by a dual bound over every support
+point, and a fit is bit-reproducible at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -82,6 +82,57 @@ def _step(v: np.ndarray, dv: np.ndarray, fraction: float = 1.0) -> float:
     return fraction / max(-float((dv / v).min()), fraction)
 
 
+def _normal_solver(a: np.ndarray, d: np.ndarray):
+    """r -> (M D M^T)^-1 r for the master M over the point columns ``a`` and D = x / z.
+
+    With S, T = (D+ +- D-) / 2 for the slack diagonals and B = S + 2 d_t 11^T, the
+    duals' v = y+ + y- is B^-1 (r+ + r- - T u), B^-1 by Sherman-Morrison. That leaves
+    the SPD system [[K + diag(D+ D- / (D+ + D-)) + (c/2) q q^T, g], [g^T, sum(D_h)]] in
+    (u = y+ - y-, y_sum), with K = A D_h A^T, g = A D_h, q = T / S and
+    c = 2 d_t / (1 + 2 d_t sum(1/S)). The ridge is the full matrix's, on D+-, sum(D_h).
+    """
+    nf, w = a.shape
+    dh, dt, dp, dm = d[:w], d[w], d[w + 1 : w + 1 + nf], d[w + 1 + nf :]
+    root = a * np.sqrt(dh)
+    k = root @ root.T  # one triangle (BLAS syrk), mirrored
+    n = nf + 1
+    reduced = np.empty((n, n))
+    reduced[:nf, -1] = reduced[-1, :nf] = a @ dh
+    ridge = 1e-14 * (2 * np.trace(k) + 2 * nf * dt + dp.sum() + dm.sum() + dh.sum()) / (2 * nf + 1)
+    for _ in range(7):  # a ridge of up to 1e-2 of the mean diagonal
+        p, m = dp + ridge, dm + ridge
+        t, inv_s = (p - m) / 2, 2 / (p + m)
+        q, c = t * inv_s, 2 * dt / (1 + 2 * dt * inv_s.sum())
+        reduced[:nf, :nf] = k + np.outer(c / 2 * q, q)
+        reduced.flat[: n * nf : n + 1] += p * m / (p + m)
+        reduced[-1, -1] = dh.sum() + ridge
+        try:
+            factor = np.linalg.cholesky(reduced)
+            break
+        except np.linalg.LinAlgError:
+            ridge *= 100.0
+    else:
+        raise RuntimeError("normal matrix is not positive definite; inputs are malformed")
+    blocks = range(0, n, 64)
+    inverses = [np.linalg.inv(factor[j : j + 64, j : j + 64]) for j in blocks]
+
+    def solve(r):
+        rv = r[:nf] + r[nf:-1]
+        # (u, y_sum)'s right-hand side; T B^-1 r = q (r - c (r . 1/S)).
+        u = np.concatenate([(r[:nf] - r[nf:-1] - q * (rv - c * (inv_s @ rv))) / 2, r[-1:]])
+        for j, inverse in zip(blocks, inverses):  # forward substitution by blocks
+            u[j : j + 64] = inverse @ u[j : j + 64]
+            u[j + 64 :] -= factor[j + 64 :, j : j + 64] @ u[j : j + 64]
+        for j, inverse in zip(reversed(blocks), reversed(inverses)):  # back substitution
+            u[j : j + 64] = inverse.T @ u[j : j + 64]
+            u[:j] -= factor[j : j + 64, :j].T @ u[j : j + 64]
+        rv -= t * u[:nf]
+        v = inv_s * (rv - c * (inv_s @ rv))
+        return np.concatenate([(v + u[:nf]) / 2, (v - u[:nf]) / 2, u[nf:]])
+
+    return solve
+
+
 def _interior_point(a: np.ndarray, b: np.ndarray, working: np.ndarray, budget: int):
     """Mehrotra's predictor-corrector on the master over the support points ``working``.
 
@@ -106,8 +157,6 @@ def _interior_point(a: np.ndarray, b: np.ndarray, working: np.ndarray, budget: i
     x = np.concatenate([np.full(w, 1 / w), [1], np.maximum(1 - resid, 1), np.maximum(1 + resid, 1)])
     z = np.ones(w + n)
     y = np.zeros(n)
-    blocks = range(0, n, 64)
-    normal = np.empty((n, n))
     last = np.inf
     for iteration in itertools.count():
         r_p = rhs - master @ x
@@ -122,38 +171,11 @@ def _interior_point(a: np.ndarray, b: np.ndarray, working: np.ndarray, budget: i
         if iteration == budget:
             return x[:w], y, iteration, False
         last = error
-        # The normal matrix M D M^T of the master M, D = x / z, from K = A D_h A^T.
         d = x / z
-        dh = d[:w]
-        k = (a * dh) @ a.T
-        g = a @ dh
-        normal[:nf, :nf] = normal[nf:-1, nf:-1] = k
-        normal[:nf, nf:-1] = normal[nf:-1, :nf] = -k
-        normal[:-1, :-1] += d[w]
-        normal[:nf, -1] = normal[-1, :nf] = g
-        normal[nf:-1, -1] = normal[-1, nf:-1] = -g
-        normal[-1, -1] = dh.sum()
-        normal.flat[: n * n - 1 : n + 1] += d[w + 1 :]
-        ridge = 1e-14 * np.trace(normal) / n
-        for _ in range(7):  # a ridge of up to 1e-2 of the mean diagonal
-            normal.flat[:: n + 1] += ridge
-            try:
-                factor = np.linalg.cholesky(normal)
-                break
-            except np.linalg.LinAlgError:
-                ridge *= 100.0
-        else:
-            raise RuntimeError("normal matrix is not positive definite; inputs are malformed")
-        inverses = [np.linalg.inv(factor[s : s + 64, s : s + 64]) for s in blocks]
+        solve = _normal_solver(a, d)  # M D M^T through its (|F|+1)-square reduction
 
         def direction(rc):  # the Newton direction towards x * z = rc
-            dy = r_p + master @ (d * r_d - rc / z)
-            for s, inverse in zip(blocks, inverses):  # forward substitution by blocks
-                dy[s : s + 64] = inverse @ dy[s : s + 64]
-                dy[s + 64 :] -= factor[s + 64 :, s : s + 64] @ dy[s : s + 64]
-            for s, inverse in zip(reversed(blocks), reversed(inverses)):  # back substitution
-                dy[s : s + 64] = inverse.T @ dy[s : s + 64]
-                dy[:s] -= factor[s : s + 64, :s].T @ dy[s : s + 64]
+            dy = solve(r_p + master @ (d * r_d - rc / z))
             dz = r_d - dy @ master
             return (rc - x * dz) / z, dy, dz
 
@@ -165,7 +187,6 @@ def _interior_point(a: np.ndarray, b: np.ndarray, working: np.ndarray, budget: i
         step = _step(z, dz, 0.99)
         y = y + step * dy
         z = z + step * dz
-        del factor, inverses  # before the next factorization
 
 
 def solve_min_max(problem: FitProblem, max_iterations: int | None = None) -> FitSolution:
