@@ -3,12 +3,15 @@
 Solves
     minimize t  s.t.  |(A h)_j - b_j| <= t for all j,  h >= 0,  sum(h) = 1
 by column generation (Gondzio, EJOR 2012) around Mehrotra's predictor-corrector
-(SIAM J. Optim. 1992). The master is the standard form over a working set W of
+(SIAM J. Optim. 1992). The master M is the standard form over a working set W of
 support points: A_W h - t + s+ = b, -A_W h - t + s- = -b, sum(h) = 1, all
-variables >= 0, cost t. Its normal equations, with y+ + y- eliminated, are
-solved at size |F|+1 through the Cholesky factor of a matrix built from
-K = A_W D A_W^T. "optimal" is certified by a dual bound over every support
-point, and a fit is bit-reproducible at a fixed BLAS thread count.
+variables >= 0, cost t, with its rows taken as sum(h) = 1 and the half-difference
+and half-sum of the other two, so that its duals are (y_sum, u = y+ - y-,
+v = y+ + y-). No dense M is formed: every M x and y M is computed from the
+points' table [1; A_W]. The normal equations, with v eliminated, are solved at
+size |F|+1 through the Cholesky factor of a matrix built from K = A_W D A_W^T.
+"optimal" is certified by a dual bound over every support point, and a fit is
+bit-reproducible at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -82,30 +85,48 @@ def _step(v: np.ndarray, dv: np.ndarray, fraction: float = 1.0) -> float:
     return fraction / max(-float((dv / v).min()), fraction)
 
 
-def _normal_solver(a: np.ndarray, d: np.ndarray):
-    """r -> (M D M^T)^-1 r for the master M over the point columns ``a`` and D = x / z.
+# (s+, s-) -> ((s+ - s-) / 2, (s+ + s-) / 2); its transpose takes the duals (u, v) to (y+, y-).
+_HALVES = np.array([[0.5, -0.5], [0.5, 0.5]])
+
+
+def _master_product(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M x for x = (h, t, s+, s-): (sum(h), A h + (s+ - s-) / 2, (s+ + s-) / 2 - t)."""
+    n, w = table.shape
+    out = np.zeros(2 * n - 1)
+    out[1:] = np.dot(_HALVES, x[w + 1 :].reshape(2, n - 1)).ravel()
+    out[n:] -= x[w]
+    out[:n] += table @ x[:w]
+    return out
+
+
+def _dual_product(table: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """y M, stacked like x, for y = (y_sum, u, v): (y_sum + u A, -sum(v), y+, y-)."""
+    n, w = table.shape
+    pairs = np.dot(_HALVES.T, y[1:].reshape(2, n - 1)).ravel()
+    return np.concatenate([y[:n] @ table, [-y[n:].sum()], pairs])
+
+
+def _normal_solver(table: np.ndarray, d: np.ndarray):
+    """r -> (M D M^T)^-1 r for the master M over the point table [1; A_W] and D = x / z.
 
     With S, T = (D+ +- D-) / 2 for the slack diagonals and B = S + 2 d_t 11^T, the
-    duals' v = y+ + y- is B^-1 (r+ + r- - T u), B^-1 by Sherman-Morrison. That leaves
-    the SPD system [[K + diag(D+ D- / (D+ + D-)) + (c/2) q q^T, g], [g^T, sum(D_h)]] in
-    (u = y+ - y-, y_sum), with K = A D_h A^T, g = A D_h, q = T / S and
+    duals' v is B^-1 (r+ + r- - T u), B^-1 by Sherman-Morrison. That leaves the SPD
+    system [[sum(D_h), g^T], [g, K + diag(D+ D- / (D+ + D-)) + (c/2) q q^T]] in
+    (y_sum, u), with K = A D_h A^T, g = A D_h, q = T / S and
     c = 2 d_t / (1 + 2 d_t sum(1/S)). The ridge is the full matrix's, on D+-, sum(D_h).
     """
-    nf, w = a.shape
-    dh, dt, dp, dm = d[:w], d[w], d[w + 1 : w + 1 + nf], d[w + 1 + nf :]
-    root = a * np.sqrt(dh)
-    k = root @ root.T  # one triangle (BLAS syrk), mirrored
-    n = nf + 1
-    reduced = np.empty((n, n))
-    reduced[:nf, -1] = reduced[-1, :nf] = a @ dh
-    ridge = 1e-14 * (2 * np.trace(k) + 2 * nf * dt + dp.sum() + dm.sum() + dh.sum()) / (2 * nf + 1)
+    n, w = table.shape
+    nf, dt, slacks = n - 1, d[w], d[w + 1 :]
+    root = table * np.sqrt(d[:w])
+    gram = root @ root.T  # [[sum(D_h), g^T], [g, K]]: one triangle (BLAS syrk), mirrored
+    ridge = 1e-14 * (2 * gram.trace() - gram[0, 0] + 2 * nf * dt + slacks.sum()) / (2 * nf + 1)
     for _ in range(7):  # a ridge of up to 1e-2 of the mean diagonal
-        p, m = dp + ridge, dm + ridge
-        t, inv_s = (p - m) / 2, 2 / (p + m)
+        p, m = slacks[:nf] + ridge, slacks[nf:] + ridge
+        t, inv_s = (p - m) / 2, 2 / (s := p + m)
         q, c = t * inv_s, 2 * dt / (1 + 2 * dt * inv_s.sum())
-        reduced[:nf, :nf] = k + np.outer(c / 2 * q, q)
-        reduced.flat[: n * nf : n + 1] += p * m / (p + m)
-        reduced[-1, -1] = dh.sum() + ridge
+        reduced = gram.copy()
+        reduced[1:, 1:] += (c / 2 * q)[:, None] * q
+        reduced.flat[:: n + 1] += np.concatenate([[ridge], p * m / s])
         try:
             factor = np.linalg.cholesky(reduced)
             break
@@ -117,18 +138,17 @@ def _normal_solver(a: np.ndarray, d: np.ndarray):
     inverses = [np.linalg.inv(factor[j : j + 64, j : j + 64]) for j in blocks]
 
     def solve(r):
-        rv = r[:nf] + r[nf:-1]
-        # (u, y_sum)'s right-hand side; T B^-1 r = q (r - c (r . 1/S)).
-        u = np.concatenate([(r[:nf] - r[nf:-1] - q * (rv - c * (inv_s @ rv))) / 2, r[-1:]])
+        y = r.copy()
+        # (y_sum, u)'s right-hand side; T B^-1 r_v = q (r_v - c (r_v . 1/S)) for r_v = r[n:].
+        y[1:n] -= q * (r[n:] - c * (inv_s @ r[n:]))
+        u = y[:n]
         for j, inverse in zip(blocks, inverses):  # forward substitution by blocks
-            u[j : j + 64] = inverse @ u[j : j + 64]
-            u[j + 64 :] -= factor[j + 64 :, j : j + 64] @ u[j : j + 64]
+            u[j : j + 64] = inverse @ (u[j : j + 64] - factor[j : j + 64, :j] @ u[:j])
         for j, inverse in zip(reversed(blocks), reversed(inverses)):  # back substitution
-            u[j : j + 64] = inverse.T @ u[j : j + 64]
-            u[:j] -= factor[j : j + 64, :j].T @ u[j : j + 64]
-        rv -= t * u[:nf]
-        v = inv_s * (rv - c * (inv_s @ rv))
-        return np.concatenate([(v + u[:nf]) / 2, (v - u[:nf]) / 2, u[nf:]])
+            u[j : j + 64] = inverse.T @ (u[j : j + 64] - factor[j + 64 :, j : j + 64].T @ u[j + 64 :])
+        rv = 2 * r[n:] - t * u[1:]
+        y[n:] = inv_s * (rv - c * (inv_s @ rv))
+        return y
 
     return solve
 
@@ -136,57 +156,54 @@ def _normal_solver(a: np.ndarray, d: np.ndarray):
 def _interior_point(a: np.ndarray, b: np.ndarray, working: np.ndarray, budget: int):
     """Mehrotra's predictor-corrector on the master over the support points ``working``.
 
-    Returns the weights h, the duals y = (y+, y-, y_sum), the iterations taken
+    Returns the weights h, the duals y = (y_sum, u, v), the iterations taken
     and whether the stopping test was met within ``budget`` iterations.
     """
     nf, w = len(b), len(working)
-    n = 2 * nf + 1
-    # Standard-form columns: points (a_i, -a_i, 1), t (-1, ..., -1, 0), unit slacks.
-    master = np.zeros((n, w + n))
-    master[:nf, :w] = a[:, working]
-    a = master[:nf, :w]
-    master[nf:-1, :w] = -a
-    master[-1, :w] = 1.0
-    master[:-1, w] = -1.0
-    np.fill_diagonal(master[:-1, w + 1 :], 1.0)
-    rhs = np.concatenate([b, -b, [1.0]])
-    cost = np.zeros(w + n)
-    cost[w] = 1.0
+    table = np.ones((nf + 1, w))  # the points' columns (1, a_i), one C-contiguous table
+    np.take(a, working, axis=1, out=table[1:])
+    target = np.concatenate([[1.0], b, np.zeros(nf)])
+    scale = 1 + np.abs(target).max()
     # Start from uniform h, t = 1, slacks max(t -+ residual, 1), multipliers 1 and y = 0.
-    resid = a.mean(axis=1) - b
+    resid = table[1:].mean(axis=1) - b
     x = np.concatenate([np.full(w, 1 / w), [1], np.maximum(1 - resid, 1), np.maximum(1 + resid, 1)])
-    z = np.ones(w + n)
-    y = np.zeros(n)
+    z = np.ones(len(x))
+    y = np.zeros(2 * nf + 1)
     last = np.inf
     for iteration in itertools.count():
-        r_p = rhs - master @ x
-        r_d = cost - y @ master - z
-        gap = abs(x[w] - rhs @ y) / (1 + x[w])
-        error = max(np.abs(r_p).max() / (1 + np.abs(rhs).max()), np.abs(r_d).max() / 2, gap)
+        r_p = target - _master_product(table, x)
+        r_d = -_dual_product(table, y) - z
+        r_d[w] += 1.0  # t's cost
+        gap = abs(x[w] - target @ y) / (1 + x[w])
+        # max(|r+|, |r-|) = |(r+ - r-) / 2| + |(r+ + r-) / 2|
+        primal = max(abs(r_p[0]), (np.abs(r_p[1 : nf + 1]) + np.abs(r_p[nf + 1 :])).max())
+        error = max(primal / scale, np.abs(r_d).max() / 2, gap)
         # Stop once the relative residuals and gap are below 1e-9 and an iteration
         # no longer shrinks them tenfold, or once x . z is at rounding level,
         # past which the iterates only crowd the boundary until x / z overflows.
-        if (last < 1e-9 and error > last / 10) or x @ z < 1e-14 * (1 + x[w]):
-            return x[:w], y, iteration, True
-        if iteration == budget:
-            return x[:w], y, iteration, False
+        xz = x @ z
+        converged = (last < 1e-9 and error > last / 10) or xz < 1e-14 * (1 + x[w])
+        if converged or iteration == budget:
+            return x[:w], y, iteration, converged
         last = error
         d = x / z
-        solve = _normal_solver(a, d)  # M D M^T through its (|F|+1)-square reduction
+        dr = d * r_d
+        solve = _normal_solver(table, d)  # M D M^T through its (|F|+1)-square reduction
 
         def direction(rc):  # the Newton direction towards x * z = rc
-            dy = solve(r_p + master @ (d * r_d - rc / z))
-            dz = r_d - dy @ master
+            dy = solve(r_p + _master_product(table, dr - rc / z))
+            dz = r_d - _dual_product(table, dy)
             return (rc - x * dz) / z, dy, dz
 
-        dx, dy, dz = direction(-x * z)  # predictor
-        mu = x @ z / len(x)
+        centring = x * z
+        dx, dy, dz = direction(-centring)  # predictor
+        mu = xz / len(x)
         sigma = ((x + _step(x, dx) * dx) @ (z + _step(z, dz) * dz) / len(x) / mu) ** 3
-        dx, dy, dz = direction(sigma * mu - x * z - dx * dz)  # corrector
-        x = x + _step(x, dx, 0.99) * dx
+        dx, dy, dz = direction(sigma * mu - centring - dx * dz)  # corrector
+        x += _step(x, dx, 0.99) * dx
         step = _step(z, dz, 0.99)
-        y = y + step * dy
-        z = z + step * dz
+        y += step * dy
+        z += step * dz
 
 
 def solve_min_max(problem: FitProblem, max_iterations: int | None = None) -> FitSolution:
@@ -207,14 +224,16 @@ def solve_min_max(problem: FitProblem, max_iterations: int | None = None) -> Fit
     nf, m = a.shape
     if max_iterations is None:
         max_iterations = 1000
+    elif not isinstance(max_iterations, (int, np.integer)) or max_iterations < 0:
+        raise ValueError("max_iterations must be a non-negative integer")
     working = np.arange(min(m, max(2 * nf + 1, 64)))
     iterations = 0
     while True:
         h, y, used, converged = _interior_point(a, b, working, max_iterations - iterations)
         iterations += used
-        u = y[:nf] - y[nf:-1]
+        u = y[1 : nf + 1]
         g = u @ a
-        prices = -(g + y[-1])
+        prices = -(g + y[0])
         prices[working] = 0.0
         entering = np.flatnonzero(prices < -OPTIMALITY_GAP)
         if not (converged and len(entering)) or iterations >= max_iterations:

@@ -17,7 +17,7 @@ from dpsynth import (
     privacy_check,
     solve_min_max,
 )
-from dpsynth.optimize import VALUE_TOL, _normal_solver
+from dpsynth.optimize import VALUE_TOL, _dual_product, _master_product, _normal_solver
 from grid_oracle import grid_minimax, grid_minimax_dense
 
 
@@ -237,6 +237,17 @@ class TestSolveMinMax:
         assert (w >= 0).all()
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("cap", [-1, -5, 2.5])
+    def test_iteration_cap_must_be_a_non_negative_integer(self, cap):
+        rng = np.random.default_rng(5)
+        problem = FitProblem(
+            values=rng.uniform(-1.0, 1.0, size=(3, 5)),
+            targets=rng.uniform(-1.5, 1.5, size=3),
+            support=Dataset((5,), np.arange(5)[:, None]),
+        )
+        with pytest.raises(ValueError, match="max_iterations must be a non-negative integer"):
+            solve_min_max(problem, max_iterations=cap)
+
     def test_objective_never_negative(self):
         rng = np.random.default_rng(808)
         for _ in range(20):
@@ -244,12 +255,35 @@ class TestSolveMinMax:
             assert solve_min_max(problem).objective >= 0.0
 
 
+def dense_master(a):
+    """The standard-form master over the point columns ``a``, rows (+, -, sum): columns
+    (a_i, -a_i, 1), t's (-1, ..., -1, 0) and unit slacks."""
+    nf, w = a.shape
+    n = 2 * nf + 1
+    master = np.zeros((n, w + n))
+    master[:nf, :w], master[nf:-1, :w], master[-1, :w] = a, -a, 1.0
+    master[:-1, w] = -1.0
+    np.fill_diagonal(master[:-1, w + 1 :], 1.0)
+    return master
+
+
+def dual_coordinates(nf):
+    """Q with (y+, y-, y_sum) = Q (y_sum, u, v), the solver's duals; Q^T takes the
+    rows (+, -, sum) to the solver's (sum, half-difference, half-sum)."""
+    q = np.zeros((2 * nf + 1, 2 * nf + 1))
+    half = np.eye(nf) / 2
+    q[:nf, 1 : nf + 1], q[:nf, nf + 1 :] = half, half
+    q[nf:-1, 1 : nf + 1], q[nf:-1, nf + 1 :] = -half, half
+    q[-1, 0] = 1.0
+    return q
+
+
 @pytest.mark.parametrize("nf", [1, 17, 63, 64, 65, 137])
 @pytest.mark.parametrize("regime", ["interior", "t* = 0"])
 def test_reduced_normal_solve_matches_the_dense_normal_equations(nf, regime):
     # The size-(|F|+1) solve against np.linalg.solve on the (2|F|+1)-square
     # normal matrix M D M^T with the full matrix's ridge; |F| crosses the
-    # 64-wide substitution blocks.
+    # 64-wide substitution blocks. The solver takes Q^T r and returns Q^-1 dy.
     rng = np.random.default_rng(nf)
     w = 3 * nf + 2
     n = 2 * nf + 1
@@ -258,15 +292,13 @@ def test_reduced_normal_solve_matches_the_dense_normal_equations(nf, regime):
     if regime == "t* = 0":
         x[w:] *= 1e-12  # t and every slack vanish together
     d = x / z
-    master = np.zeros((n, w + n))
-    master[:nf, :w], master[nf:-1, :w], master[-1, :w] = a, -a, 1.0
-    master[:-1, w] = -1.0
-    np.fill_diagonal(master[:-1, w + 1 :], 1.0)
+    master = dense_master(a)
     normal = (master * d) @ master.T
     normal.flat[:: n + 1] += 1e-14 * np.trace(normal) / n
     r = rng.normal(size=n)
     dense = np.linalg.solve(normal, r)
-    dy = _normal_solver(a, d)(r)
+    q = dual_coordinates(nf)
+    dy = q @ _normal_solver(np.vstack([np.ones(w), a]), d)(q.T @ r)
     # Backward stable, like the dense solve: the residual is a few n * eps of
     # |M D M^T| |dy| + |r|, although the t* = 0 matrices have condition numbers past 1e12.
     scale = np.abs(normal).sum(axis=1).max() * np.abs(dy).max() + np.abs(r).max()
@@ -275,6 +307,28 @@ def test_reduced_normal_solve_matches_the_dense_normal_equations(nf, regime):
     # anywhere but on the full matrix's diagonal misses this fivefold or more at t* = 0.
     bound = np.finfo(float).eps * np.linalg.cond(normal) * np.abs(dense).max()
     assert np.abs(dy - dense).max() <= bound
+
+
+@pytest.mark.parametrize("nf", [1, 17, 137])
+@pytest.mark.parametrize("regime", ["interior", "t* = 0"])
+def test_structured_products_match_the_dense_master(nf, regime):
+    # M x and y M from the point table [1; A] against the dense master with its
+    # rows taken as (sum, half-difference, half-sum), Q^T M, whose entries are exact.
+    rng = np.random.default_rng(100 + nf)
+    w = 3 * nf + 2
+    a = rng.uniform(-1.0, 1.0, size=(nf, w))
+    x, y = rng.random(w + 2 * nf + 1), rng.normal(size=2 * nf + 1)
+    if regime == "t* = 0":
+        x[w:] *= 1e-12  # t and every slack vanish together
+        y[1 : nf + 1] *= 1e-12  # y+ and y- agree to 12 digits
+    rotated = dual_coordinates(nf).T @ dense_master(a)
+    table = np.vstack([np.ones(w), a])
+    # Each entry is a sum of at most len(x) terms in both, in different orders.
+    eps = len(x) * np.finfo(float).eps
+    rows = _master_product(table, x)
+    assert np.all(np.abs(rows - rotated @ x) <= eps * (np.abs(rotated) @ np.abs(x)))
+    columns = _dual_product(table, y)
+    assert np.all(np.abs(columns - y @ rotated) <= eps * (np.abs(y) @ np.abs(rotated)))
 
 
 def pipeline_sized_problem(seed, p=16, d=2, n=1000, m=8000):
