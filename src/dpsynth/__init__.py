@@ -31,10 +31,9 @@ from .mechanism import (
     laplace_vector,
     privacy_check,
 )
-from .optimize import FitProblem, FitSolution, build_lp, solve_min_max
+from .optimize import FitGateError, FitProblem, FitSolution, build_lp, solve_min_max
 from .queries import marginal_family, parse_query_spec
 from .synth import (
-    FitGateError,
     GenerateResult,
     PipelineConfig,
     PipelineReport,

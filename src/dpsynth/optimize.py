@@ -9,7 +9,8 @@ variables >= 0, cost t, with its rows taken as sum(h) = 1 and the half-differenc
 and half-sum of the other two, so that its duals are (y_sum, u = y+ - y-,
 v = y+ + y-). No dense M is formed: every M x and y M is computed from the
 points' table [1; A_W]. The normal equations, with v eliminated, are solved at
-size |F|+1 through the Cholesky factor of a matrix built from K = A_W D A_W^T.
+size |F|+1 by LU (numpy has no triangular solve) on a matrix built from
+K = A_W D A_W^T, under a small ridge; a singular one raises FitGateError.
 "optimal" is certified by a dual bound over every support point, and a fit is
 bit-reproducible at a fixed BLAS thread count.
 """
@@ -26,6 +27,10 @@ from .distributions import ExplicitDistribution
 
 VALUE_TOL = 1e-9
 OPTIMALITY_GAP = 1e-7
+
+
+class FitGateError(RuntimeError):
+    """Raised when the min-max fit fails or stops before reaching its optimum."""
 
 
 @dataclass(frozen=True)
@@ -85,25 +90,20 @@ def _step(v: np.ndarray, dv: np.ndarray, fraction: float = 1.0) -> float:
     return fraction / max(-float((dv / v).min()), fraction)
 
 
-# (s+, s-) -> ((s+ - s-) / 2, (s+ + s-) / 2); its transpose takes the duals (u, v) to (y+, y-).
-_HALVES = np.array([[0.5, -0.5], [0.5, 0.5]])
-
-
 def _master_product(table: np.ndarray, x: np.ndarray) -> np.ndarray:
     """M x for x = (h, t, s+, s-): (sum(h), A h + (s+ - s-) / 2, (s+ + s-) / 2 - t)."""
     n, w = table.shape
-    out = np.zeros(2 * n - 1)
-    out[1:] = np.dot(_HALVES, x[w + 1 :].reshape(2, n - 1)).ravel()
-    out[n:] -= x[w]
-    out[:n] += table @ x[:w]
-    return out
+    plus, minus = x[w + 1 : w + n], x[w + n :]
+    out = table @ x[:w]
+    out[1:] += (plus - minus) / 2
+    return np.concatenate([out, (plus + minus) / 2 - x[w]])
 
 
 def _dual_product(table: np.ndarray, y: np.ndarray) -> np.ndarray:
     """y M, stacked like x, for y = (y_sum, u, v): (y_sum + u A, -sum(v), y+, y-)."""
-    n, w = table.shape
-    pairs = np.dot(_HALVES.T, y[1:].reshape(2, n - 1)).ravel()
-    return np.concatenate([y[:n] @ table, [-y[n:].sum()], pairs])
+    n = len(table)
+    u, v = y[1:n], y[n:]
+    return np.concatenate([y[:n] @ table, [-v.sum()], (u + v) / 2, (v - u) / 2])
 
 
 def _normal_solver(table: np.ndarray, d: np.ndarray):
@@ -114,39 +114,29 @@ def _normal_solver(table: np.ndarray, d: np.ndarray):
     system [[sum(D_h), g^T], [g, K + diag(D+ D- / (D+ + D-)) + (c/2) q q^T]] in
     (y_sum, u), with K = A D_h A^T, g = A D_h, q = T / S and
     c = 2 d_t / (1 + 2 d_t sum(1/S)). The ridge is the full matrix's, on D+-, sum(D_h).
+    numpy has no triangular solve, so the reduced matrix is solved by LU
+    (np.linalg.solve); an exactly singular one raises FitGateError.
     """
     n, w = table.shape
     nf, dt, slacks = n - 1, d[w], d[w + 1 :]
     root = table * np.sqrt(d[:w])
-    gram = root @ root.T  # [[sum(D_h), g^T], [g, K]]: one triangle (BLAS syrk), mirrored
-    ridge = 1e-14 * (2 * gram.trace() - gram[0, 0] + 2 * nf * dt + slacks.sum()) / (2 * nf + 1)
-    for _ in range(7):  # a ridge of up to 1e-2 of the mean diagonal
-        p, m = slacks[:nf] + ridge, slacks[nf:] + ridge
-        t, inv_s = (p - m) / 2, 2 / (s := p + m)
-        q, c = t * inv_s, 2 * dt / (1 + 2 * dt * inv_s.sum())
-        reduced = gram.copy()
-        reduced[1:, 1:] += (c / 2 * q)[:, None] * q
-        reduced.flat[:: n + 1] += np.concatenate([[ridge], p * m / s])
-        try:
-            factor = np.linalg.cholesky(reduced)
-            break
-        except np.linalg.LinAlgError:
-            ridge *= 100.0
-    else:
-        raise RuntimeError("normal matrix is not positive definite; inputs are malformed")
-    blocks = range(0, n, 64)
-    inverses = [np.linalg.inv(factor[j : j + 64, j : j + 64]) for j in blocks]
+    reduced = root @ root.T  # [[sum(D_h), g^T], [g, K]]: one triangle (BLAS syrk), mirrored
+    ridge = 1e-14 * (2 * reduced.trace() - reduced[0, 0] + 2 * nf * dt + slacks.sum()) / (2 * nf + 1)
+    p, m = slacks[:nf] + ridge, slacks[nf:] + ridge
+    t, inv_s = (p - m) / 2, 2 / (s := p + m)
+    q, c = t * inv_s, 2 * dt / (1 + 2 * dt * inv_s.sum())
+    reduced[1:, 1:] += (c / 2 * q)[:, None] * q
+    reduced.flat[:: n + 1] += np.concatenate([[ridge], p * m / s])
 
     def solve(r):
         y = r.copy()
         # (y_sum, u)'s right-hand side; T B^-1 r_v = q (r_v - c (r_v . 1/S)) for r_v = r[n:].
         y[1:n] -= q * (r[n:] - c * (inv_s @ r[n:]))
-        u = y[:n]
-        for j, inverse in zip(blocks, inverses):  # forward substitution by blocks
-            u[j : j + 64] = inverse @ (u[j : j + 64] - factor[j : j + 64, :j] @ u[:j])
-        for j, inverse in zip(reversed(blocks), reversed(inverses)):  # back substitution
-            u[j : j + 64] = inverse.T @ (u[j : j + 64] - factor[j + 64 :, j : j + 64].T @ u[j + 64 :])
-        rv = 2 * r[n:] - t * u[1:]
+        try:
+            y[:n] = np.linalg.solve(reduced, y[:n])
+        except np.linalg.LinAlgError as exc:
+            raise FitGateError("normal matrix is singular; inputs are malformed") from exc
+        rv = 2 * r[n:] - t * y[1:n]
         y[n:] = inv_s * (rv - c * (inv_s @ rv))
         return y
 
@@ -248,7 +238,7 @@ def solve_min_max(problem: FitProblem, max_iterations: int | None = None) -> Fit
     # Any w with |w|_1 <= 1 bounds t* below by min_i w . a_i - w . b; take w = -u.
     bound = (u @ b - g.max()) / max(1.0, float(np.abs(u).sum()))
     if status == "optimal" and objective > bound + OPTIMALITY_GAP:
-        raise RuntimeError(
+        raise FitGateError(
             f"dual certificate failed: {objective:.3e} > {bound:.3e} + {OPTIMALITY_GAP:.1e}"
         )
     return FitSolution(

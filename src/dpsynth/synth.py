@@ -15,15 +15,11 @@ import numpy as np
 from .core import Dataset, QueryFamily, evaluate_all
 from .distributions import ExplicitDistribution
 from .mechanism import laplace_vector, privacy_check
-from .optimize import build_lp, solve_min_max
+from .optimize import FitGateError, build_lp, solve_min_max
 
 
 class PrivacyGateError(RuntimeError):
     """Raised when a requested epsilon cannot be met by the dataset size."""
-
-
-class FitGateError(RuntimeError):
-    """Raised when the min-max fit stops before reaching its optimum."""
 
 
 @dataclass(frozen=True)

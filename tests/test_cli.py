@@ -90,6 +90,17 @@ class TestGenerateCommand:
         assert err == "error: min-max fit stopped: iteration-limit after 0 iterations\n"
         assert not out.exists()
 
+    def test_singular_normal_matrix_exit_code(self, data_file, tmp_path, capsys, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        code, out, _ = run_generate(data_file, tmp_path)
+        assert code == EXIT_GATE
+        err = capsys.readouterr().err
+        assert err == "error: normal matrix is singular; inputs are malformed\n"
+        assert not out.exists()
+
     def test_allow_privacy_failure_overrides_gate(self, data_file, tmp_path):
         code, out, report = run_generate(
             data_file, tmp_path,

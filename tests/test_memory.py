@@ -158,9 +158,10 @@ def test_solver_peak_is_well_under_one_float_copy_of_the_table():
     problem = build_lp(family, domain, targets)
     solve_min_max(problem)
     peak = traced_peak(lambda: solve_min_max(problem))
-    # Measured 2.9 MB: the point table [1; A_W] over 823 working points (0.9 MB),
+    # Measured 2.7 MB: the point table [1; A_W] over 823 working points (0.9 MB),
     # its scaled copy that the normal matrix is built from (0.9 MB), and the
-    # (|F|+1)-square Gram, normal and Cholesky matrices of this iteration and
-    # the last. A float copy of the values would add 8.2 MB, and a dense
-    # standard-form master 2.4 MB (4.4 MB measured with one).
+    # (|F|+1)-square reduced normal matrices of this iteration and the last,
+    # with the copy that np.linalg.solve factors. A float copy of the values
+    # would add 8.2 MB, and a dense standard-form master 2.4 MB (4.4 MB
+    # measured with one).
     assert peak <= 0.45 * problem.values.nbytes

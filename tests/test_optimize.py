@@ -5,6 +5,7 @@ import pytest
 
 from dpsynth import (
     Dataset,
+    FitGateError,
     FitProblem,
     ProductDistribution,
     QueryFamily,
@@ -248,6 +249,15 @@ class TestSolveMinMax:
         with pytest.raises(ValueError, match="max_iterations must be a non-negative integer"):
             solve_min_max(problem, max_iterations=cap)
 
+    def test_singular_normal_matrix_is_a_fit_gate_error(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        problem = random_problem(np.random.default_rng(6))
+        with pytest.raises(FitGateError, match="^normal matrix is singular; inputs are malformed$"):
+            solve_min_max(problem)
+
     def test_objective_never_negative(self):
         rng = np.random.default_rng(808)
         for _ in range(20):
@@ -278,12 +288,13 @@ def dual_coordinates(nf):
     return q
 
 
-@pytest.mark.parametrize("nf", [1, 17, 63, 64, 65, 137])
+@pytest.mark.parametrize("nf", [1, 17, 63, 64, 65, 137, 301, 697])
 @pytest.mark.parametrize("regime", ["interior", "t* = 0"])
 def test_reduced_normal_solve_matches_the_dense_normal_equations(nf, regime):
     # The size-(|F|+1) solve against np.linalg.solve on the (2|F|+1)-square
-    # normal matrix M D M^T with the full matrix's ridge; |F| crosses the
-    # 64-wide substitution blocks. The solver takes Q^T r and returns Q^-1 dy.
+    # normal matrix M D M^T with the full matrix's ridge; |F| runs from one
+    # function to the order-3 instance's 697, with 301 for instance C. The
+    # solver takes Q^T r and returns Q^-1 dy.
     rng = np.random.default_rng(nf)
     w = 3 * nf + 2
     n = 2 * nf + 1
