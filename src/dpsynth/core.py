@@ -347,11 +347,17 @@ def _edge_counter(inner: np.ndarray):
     """x -> np.searchsorted(inner, x, side="right") for sorted finite edges, by an exact lookup:
     a uniform grid of 4*len(inner) buckets over the edges gives x a bucket g, start[g] edges lie
     in lower buckets (the grid map is monotone) and one comparison per edge in g adds the rest.
-    Edges crowded into few buckets, or no finite grid, get the binary search, which costs less."""
+    Edges crowded into few buckets, or no finite grid, get the binary search, which costs less;
+    fewer than 4 edges, a comparison of x with each. x must not be NaN."""
     def search(x: np.ndarray) -> np.ndarray:
         return np.searchsorted(inner, x, side="right")
-    if len(inner) < 4:  # then 2 * rows <= log2(len(inner)) below cannot hold
-        return search
+    if len(inner) < 4:
+        def compare(x: np.ndarray) -> np.ndarray:
+            out = np.zeros(x.shape, np.intp)
+            for edge in inner:
+                out += x >= edge  # in place, into the one intp array
+            return out
+        return compare
     lo, hi, size = float(inner[0]), float(inner[-1]), 4 * len(inner)
     scale = size / (hi - lo) if 0.0 < hi - lo < math.inf else math.inf
     if math.isfinite(scale):  # else the edges are equal, or their spread is subnormal or overflows

@@ -8,11 +8,11 @@ support points: A_W h - t + s+ = b, -A_W h - t + s- = -b, sum(h) = 1, all
 variables >= 0, cost t, with its rows taken as sum(h) = 1 and the half-difference
 and half-sum of the other two, so that its duals are (y_sum, u = y+ - y-,
 v = y+ + y-). No dense M is formed: every M x and y M is computed from the
-points' table [1; A_W]. The normal equations, with v eliminated, are solved at
-size |F|+1 by LU (numpy has no triangular solve) on a matrix built from
-K = A_W D A_W^T, under a small ridge; a singular one raises FitGateError.
-"optimal" is certified by a dual bound over every support point, and a fit is
-bit-reproducible at a fixed BLAS thread count.
+points' table [1; A_W]. The normal equations, with v eliminated, are solved at size |F|+1
+by LU (numpy has no triangular solve) on a matrix built from K = A_W D A_W^T, under a
+small ridge; a singular one raises FitGateError. "optimal" is certified by a dual bound
+over every support point, and a fit is bit-reproducible at a fixed BLAS thread count.
+A Boolean table of values is held, not copied, and read as float64 a block at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, QueryFamily, _first_occurrences
+from .core import _STATS_BLOCK, Dataset, QueryFamily, _first_occurrences
 from .distributions import ExplicitDistribution
 
 VALUE_TOL = 1e-9
@@ -35,15 +35,17 @@ class FitGateError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitProblem:
-    """Dense fitting instance: the LP's one float64 copy of values[j][i] = f_j(z_i)
-    on merged support points."""
+    """Dense fitting instance: values[j][i] = f_j(z_i) on merged support points. A Boolean
+    table is held as a read-only view (0/1 is finite and in range); others are copied to
+    float64 and checked."""
 
     values: np.ndarray
     targets: np.ndarray
     support: Dataset
 
     def __post_init__(self):
-        a = np.array(self.values, dtype=float, copy=True)
+        a = np.asarray(self.values)
+        a = a.view() if a.dtype == bool else np.array(a, dtype=float)
         b = np.array(self.targets, dtype=float, copy=True)
         if a.ndim != 2:
             raise ValueError("values must be a 2-D array")
@@ -53,9 +55,9 @@ class FitProblem:
             raise ValueError("need one column per support point")
         if a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError("problem must have at least one function and one point")
-        if not np.isfinite(a).all() or not np.isfinite(b).all():
+        if not np.isfinite(b).all() or not (a.dtype == bool or np.isfinite(a).all()):
             raise ValueError("values and targets must be finite")
-        if (a > 1.0 + VALUE_TOL).any() or (a < -1.0 - VALUE_TOL).any():
+        if a.dtype != bool and ((a > 1.0 + VALUE_TOL).any() or (a < -1.0 - VALUE_TOL).any()):
             raise ValueError("function values must lie in [-1, 1]")
         a.setflags(write=False)
         b.setflags(write=False)
@@ -151,7 +153,7 @@ def _interior_point(a: np.ndarray, b: np.ndarray, working: np.ndarray, budget: i
     """
     nf, w = len(b), len(working)
     table = np.ones((nf + 1, w))  # the points' columns (1, a_i), one C-contiguous table
-    np.take(a, working, axis=1, out=table[1:])
+    table[1:] = a[:, working]
     target = np.concatenate([[1.0], b, np.zeros(nf)])
     scale = 1 + np.abs(target).max()
     # Start from uniform h, t = 1, slacks max(t -+ residual, 1), multipliers 1 and y = 0.
@@ -199,16 +201,16 @@ def _interior_point(a: np.ndarray, b: np.ndarray, working: np.ndarray, budget: i
 def solve_min_max(problem: FitProblem, max_iterations: int | None = None) -> FitSolution:
     """Global minimizer of the worst absolute residual over densities.
 
-    W starts as the first max(2|F|+1, 64) support points. Each round prices
-    point i by -((y+ - y-) . a_i + y_sum) and adds up to max(2|F|, 50) of the
-    most negative prices below -OPTIMALITY_GAP. The weights are the master's,
-    renormalized (zero off W), and ``objective`` is their worst residual.
-    "optimal" means a pricing pass over all points found nothing to add and
-    the objective is within OPTIMALITY_GAP of the dual bound those prices
-    certify. ``max_iterations`` caps the interior-point iterations summed over
-    rounds (``iterations``); at the cap the current weights (at 0, the uniform
-    start) are returned with status "iteration-limit". Deterministic at a
-    fixed BLAS thread count: identical problems give bit-identical solutions.
+    W starts as the first max(2|F|+1, 64) support points. Each round prices point i by
+    -((y+ - y-) . a_i + y_sum) and adds up to max(2|F|, 50) of the most negative prices below
+    -OPTIMALITY_GAP; it reads the values as float64 blocks of about _STATS_BLOCK bytes, whole
+    64-column groups, so BLAS sums each price as over the whole table. The weights are the
+    master's, renormalized (zero off W), and ``objective`` is their worst residual. "optimal"
+    means a pricing pass over all points found nothing to add and the objective is within
+    OPTIMALITY_GAP of the dual bound those prices certify. ``max_iterations`` caps the
+    interior-point iterations summed over rounds (``iterations``); at the cap the current
+    weights (at 0, the uniform start) are returned with status "iteration-limit".
+    Deterministic at a fixed BLAS thread count: identical problems give bit-identical solutions.
     """
     a, b = problem.values, problem.targets
     nf, m = a.shape
@@ -217,12 +219,14 @@ def solve_min_max(problem: FitProblem, max_iterations: int | None = None) -> Fit
     elif not isinstance(max_iterations, (int, np.integer)) or max_iterations < 0:
         raise ValueError("max_iterations must be a non-negative integer")
     working = np.arange(min(m, max(2 * nf + 1, 64)))
+    step = 64 * max(1, _STATS_BLOCK // (512 * nf))  # pricing's columns per block
     iterations = 0
     while True:
         h, y, used, converged = _interior_point(a, b, working, max_iterations - iterations)
         iterations += used
         u = y[1 : nf + 1]
-        g = u @ a
+        cast = (np.ascontiguousarray(a[:, i : i + step], float) for i in range(0, m, step))
+        g = np.concatenate([u @ block for block in cast])
         prices = -(g + y[0])
         prices[working] = 0.0
         entering = np.flatnonzero(prices < -OPTIMALITY_GAP)
@@ -234,7 +238,7 @@ def solve_min_max(problem: FitProblem, max_iterations: int | None = None) -> Fit
     status = "optimal" if converged and not len(entering) else "iteration-limit"
     weights = np.zeros(m)
     weights[working] = h / h.sum()
-    objective = float(np.max(np.abs(a[:, working] @ weights[working] - b)))
+    objective = float(np.max(np.abs(a[:, working].astype(float) @ weights[working] - b)))
     # Any w with |w|_1 <= 1 bounds t* below by min_i w . a_i - w . b; take w = -u.
     bound = (u @ b - g.max()) / max(1.0, float(np.abs(u).sum()))
     if status == "optimal" and objective > bound + OPTIMALITY_GAP:

@@ -463,8 +463,8 @@ class TestPrivacyAudit:
 class TestEdgeCounter:
     """The bucket lookup that bins the privacy audit's draws (and finds the
     sampler's indices) counts, for each draw, the edges at or below it, as
-    np.searchsorted(edges, x, side="right"), and hands crowded edges, or fewer
-    than four, to that binary search."""
+    np.searchsorted(edges, x, side="right"), hands crowded edges to that binary
+    search and counts fewer than four edges by comparing x with each."""
 
     @staticmethod
     def assert_counts_as_binary_search(inner, x):
@@ -494,6 +494,18 @@ class TestEdgeCounter:
             [0.0, -0.0, -1.7e308, 1.7e308, -np.inf, np.inf],
         ])
         self.assert_counts_as_binary_search(edges, x)
+
+    @pytest.mark.parametrize("inner", [[0.5], [-1.0, 0.25], [0.0, 0.0, 3.0], [-2.0, -1.0, 1e300]])
+    def test_fewer_than_four_edges_are_compared(self, inner):
+        edges = np.array(inner)
+        assert _edge_counter(edges).__name__ == "compare"
+        x = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            (edges[:-1] + edges[1:]) / 2, [edges[0] - 1, edges[-1] + 1, -np.inf, np.inf],
+        ])
+        counts = _edge_counter(edges)(x[None])  # 2-D, as the sampler passes its runs
+        assert counts.dtype == np.intp
+        assert np.array_equal(counts[0], np.searchsorted(edges, x, side="right"))
 
     @pytest.mark.parametrize("bins", [2, 3, 7, 40, 200])
     @pytest.mark.parametrize("sigma", [1e-4, 0.1, 3.0])

@@ -20,15 +20,13 @@ from dpsynth import (
     bootstrap,
     build_lp,
     deviation_check_empirical,
-    evaluate_all,
-    laplace_vector,
     marginal_family,
     privacy_audit,
-    privacy_check,
     reweighted_deviation_check,
     solve_min_max,
 )
 from dpsynth.core import _STATS_BLOCK
+from test_optimize import pipeline_sized_problem
 
 N, P = 200_000, 32
 MB = 1e6
@@ -137,31 +135,26 @@ def test_reweighted_check_peak_does_not_grow_with_trials():
     assert abs(forty - base) <= 1 * MB
 
 
-def test_build_lp_peak_is_one_float_copy_of_the_table():
+def test_build_lp_peak_is_the_boolean_table():
     family = marginal_family(16, 2)
     domain = ProductDistribution.uniform((2,) * 16).sample(8000, 4)
     problems = []
     peak = traced_peak(lambda: problems.append(build_lp(family, domain, np.zeros(len(family)))))
-    # Measured 10.5 MB: the float64 values (8 bytes a cell) plus the Boolean
-    # table and its mask blocks (1 byte a cell each).
-    assert peak <= 1.5 * problems[0].values.nbytes
+    # Measured 1.9 MB: the Boolean table FitProblem holds (1 byte a cell) plus
+    # its mask blocks. A float64 copy of it would add 8 bytes a cell.
+    assert problems[0].values.dtype == bool
+    assert peak <= 2.5 * problems[0].values.nbytes
 
 
 def test_solver_peak_is_well_under_one_float_copy_of_the_table():
-    # A fit-d2-sized fit that takes three column-generation rounds.
-    rng = np.random.default_rng(3)
-    family = marginal_family(16, 2, "monotone")
-    data = Dataset((2,) * 16, rng.integers(0, 2, size=(1000, 16)))
-    sigma = privacy_check(1000, None, 0.2, len(family), 0.1).sigma
-    targets = evaluate_all(family, data) + laplace_vector(sigma, len(family), rng)
-    domain = ProductDistribution.uniform((2,) * 16).sample(8000, rng)
-    problem = build_lp(family, domain, targets)
+    problem = pipeline_sized_problem(3)  # fit-d2-sized, three column-generation rounds
     solve_min_max(problem)
     peak = traced_peak(lambda: solve_min_max(problem))
-    # Measured 2.7 MB: the point table [1; A_W] over 823 working points (0.9 MB),
+    # Measured 2.65 MB: the point table [1; A_W] over 823 working points (0.9 MB),
     # its scaled copy that the normal matrix is built from (0.9 MB), and the
     # (|F|+1)-square reduced normal matrices of this iteration and the last,
-    # with the copy that np.linalg.solve factors. A float copy of the values
+    # with the copy that np.linalg.solve factors; pricing casts one 0.2 MB
+    # block of the Boolean values at a time. A float64 copy of the whole table
     # would add 8.2 MB, and a dense standard-form master 2.4 MB (4.4 MB
     # measured with one).
-    assert peak <= 0.45 * problem.values.nbytes
+    assert peak <= 0.45 * 8 * problem.values.size

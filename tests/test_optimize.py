@@ -86,12 +86,20 @@ class TestBuildLp:
         problem = build_lp(family, domain, [1.0, 0.3])
         assert problem.values.tolist() == [[1.0, 1.0], [0.0, 1.0]]
 
-    def test_values_are_the_float_copy_of_the_boolean_table(self):
+    def test_values_are_the_boolean_table_read_only(self):
         family = marginal_family(4, 2)
         domain = ProductDistribution.uniform((2,) * 4).sample(40, 3)
         problem = build_lp(family, domain, np.zeros(len(family)))
-        assert problem.values.dtype == np.float64
+        assert problem.values.dtype == bool
+        assert not problem.values.flags.writeable
         assert np.array_equal(problem.values, family.values_matrix(problem.support.rows))
+
+    def test_boolean_values_are_held_not_copied(self):
+        table = np.array([[True, False], [True, True]])
+        problem = FitProblem(values=table, targets=np.zeros(2), support=Dataset((2,), [[0], [1]]))
+        assert np.shares_memory(problem.values, table)
+        assert not problem.values.flags.writeable
+        assert table.flags.writeable  # the view is read-only, the caller's table is not
 
 
 class TestFitProblemValidation:
@@ -354,13 +362,26 @@ def pipeline_sized_problem(seed, p=16, d=2, n=1000, m=8000):
     return build_lp(family, domain, targets)
 
 
+@pytest.mark.parametrize("seed", [3, 6, 7])  # seed 3 takes three column-generation rounds
+def test_boolean_table_fits_bit_identically_to_its_float_copy(seed):
+    problem = pipeline_sized_problem(seed)
+    assert problem.values.dtype == bool
+    as_float = FitProblem(
+        values=problem.values.astype(float), targets=problem.targets, support=problem.support
+    )
+    held, copied = solve_min_max(problem), solve_min_max(as_float)
+    assert held.density.weights.tobytes() == copied.density.weights.tobytes()
+    assert held.objective == copied.objective
+    assert held.iterations == copied.iterations
+
+
 def highs_min_max(problem):
     """Optimal worst residual from scipy's HiGHS on the same LP in inequality form,
     handed over sparse so that instance C's constraint matrix stays small."""
     from scipy import sparse
     from scipy.optimize import linprog
 
-    a, b = sparse.csr_matrix(problem.values), problem.targets
+    a, b = sparse.csr_matrix(problem.values, dtype=float), problem.targets
     nf, m = a.shape
     cost = np.zeros(m + 1)
     cost[-1] = 1.0
