@@ -21,8 +21,9 @@ from .distributions import (
     renyi_condition_number_exact,
     renyi_condition_number_mc,
 )
+from .optimize import FitGateError
 from .queries import parse_query_spec
-from .synth import FitGateError, PipelineConfig, PrivacyGateError, _render, generate
+from .synth import PipelineConfig, PrivacyGateError, _render, generate
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -10,8 +10,8 @@ and half-sum of the other two, so that its duals are (y_sum, u = y+ - y-,
 v = y+ + y-). No dense M is formed: every M x and y M is computed from the
 points' table [1; A_W]. The normal equations, with v eliminated, are solved at size |F|+1
 by LU (numpy has no triangular solve) on a matrix built from K = A_W D A_W^T, under a
-small ridge; a singular one raises FitGateError. "optimal" is certified by a dual bound
-over every support point, and a fit is bit-reproducible at a fixed BLAS thread count.
+small ridge; a singular one raises FitGateError. A fit is returned only when a dual bound
+over every support point certifies it, and is bit-reproducible at a fixed BLAS thread count.
 A Boolean table of values is held, not copied, and read as float64 a block at a time.
 """
 
@@ -27,6 +27,7 @@ from .distributions import ExplicitDistribution
 
 VALUE_TOL = 1e-9
 OPTIMALITY_GAP = 1e-7
+MAX_ITERATIONS = 1000  # interior-point iterations per fit, summed over rounds
 
 
 class FitGateError(RuntimeError):
@@ -67,10 +68,11 @@ class FitProblem:
 
 @dataclass(frozen=True)
 class FitSolution:
+    """A certified min-max fit: its density, worst residual and interior-point iterations."""
+
     density: ExplicitDistribution
     objective: float
     iterations: int
-    status: str  # "optimal" or "iteration-limit"
 
 
 def build_lp(
@@ -198,31 +200,26 @@ def _interior_point(a: np.ndarray, b: np.ndarray, working: np.ndarray, budget: i
         z += step * dz
 
 
-def solve_min_max(problem: FitProblem, max_iterations: int | None = None) -> FitSolution:
+def solve_min_max(problem: FitProblem) -> FitSolution:
     """Global minimizer of the worst absolute residual over densities.
 
     W starts as the first max(2|F|+1, 64) support points. Each round prices point i by
     -((y+ - y-) . a_i + y_sum) and adds up to max(2|F|, 50) of the most negative prices below
     -OPTIMALITY_GAP; it reads the values as float64 blocks of about _STATS_BLOCK bytes, whole
     64-column groups, so BLAS sums each price as over the whole table. The weights are the
-    master's, renormalized (zero off W), and ``objective`` is their worst residual. "optimal"
-    means a pricing pass over all points found nothing to add and the objective is within
-    OPTIMALITY_GAP of the dual bound those prices certify. ``max_iterations`` caps the
-    interior-point iterations summed over rounds (``iterations``); at the cap the current
-    weights (at 0, the uniform start) are returned with status "iteration-limit".
+    master's, renormalized (zero off W), and ``objective`` is their worst residual. A fit is
+    returned only when a pricing pass over all points found nothing to add and the objective
+    is within OPTIMALITY_GAP of the dual bound those prices certify; otherwise, or once the
+    interior-point iterations summed over rounds reach MAX_ITERATIONS, FitGateError is raised.
     Deterministic at a fixed BLAS thread count: identical problems give bit-identical solutions.
     """
     a, b = problem.values, problem.targets
     nf, m = a.shape
-    if max_iterations is None:
-        max_iterations = 1000
-    elif not isinstance(max_iterations, (int, np.integer)) or max_iterations < 0:
-        raise ValueError("max_iterations must be a non-negative integer")
     working = np.arange(min(m, max(2 * nf + 1, 64)))
     step = 64 * max(1, _STATS_BLOCK // (512 * nf))  # pricing's columns per block
     iterations = 0
     while True:
-        h, y, used, converged = _interior_point(a, b, working, max_iterations - iterations)
+        h, y, used, converged = _interior_point(a, b, working, MAX_ITERATIONS - iterations)
         iterations += used
         u = y[1 : nf + 1]
         cast = (np.ascontiguousarray(a[:, i : i + step], float) for i in range(0, m, step))
@@ -230,18 +227,21 @@ def solve_min_max(problem: FitProblem, max_iterations: int | None = None) -> Fit
         prices = -(g + y[0])
         prices[working] = 0.0
         entering = np.flatnonzero(prices < -OPTIMALITY_GAP)
-        if not (converged and len(entering)) or iterations >= max_iterations:
+        if converged and not len(entering):
             break
+        if not converged or iterations >= MAX_ITERATIONS:
+            raise FitGateError(
+                f"min-max fit stopped: iteration-limit after {iterations} iterations"
+            )
         order = np.argsort(prices[entering], kind="stable")[: max(2 * nf, 50)]
         working = np.concatenate([working, entering[order]])
 
-    status = "optimal" if converged and not len(entering) else "iteration-limit"
     weights = np.zeros(m)
     weights[working] = h / h.sum()
     objective = float(np.max(np.abs(a[:, working].astype(float) @ weights[working] - b)))
     # Any w with |w|_1 <= 1 bounds t* below by min_i w . a_i - w . b; take w = -u.
     bound = (u @ b - g.max()) / max(1.0, float(np.abs(u).sum()))
-    if status == "optimal" and objective > bound + OPTIMALITY_GAP:
+    if objective > bound + OPTIMALITY_GAP:
         raise FitGateError(
             f"dual certificate failed: {objective:.3e} > {bound:.3e} + {OPTIMALITY_GAP:.1e}"
         )
@@ -249,5 +249,4 @@ def solve_min_max(problem: FitProblem, max_iterations: int | None = None) -> Fit
         density=ExplicitDistribution(problem.support, weights),
         objective=objective,
         iterations=iterations,
-        status=status,
     )

@@ -15,7 +15,7 @@ import numpy as np
 from .core import Dataset, QueryFamily, evaluate_all
 from .distributions import ExplicitDistribution
 from .mechanism import laplace_vector, privacy_check
-from .optimize import FitGateError, build_lp, solve_min_max
+from .optimize import build_lp, solve_min_max
 
 
 class PrivacyGateError(RuntimeError):
@@ -162,11 +162,7 @@ def generate(
     )
     reduced = sampling.sample(config.reduced_size, np.random.default_rng(domain_seq))
     problem = build_lp(queries, reduced, noisy)
-    solution = solve_min_max(problem)
-    if solution.status != "optimal":
-        raise FitGateError(
-            f"min-max fit stopped: {solution.status} after {solution.iterations} iterations"
-        )
+    solution = solve_min_max(problem)  # a certified fit, or FitGateError
     synthetic = bootstrap(
         solution.density, config.synthetic_size, np.random.default_rng(boot_seq)
     )
@@ -188,7 +184,9 @@ def generate(
             and config.reduced_size >= ledger.threshold_m
         ),
         config_in_range=0 < config.delta_target <= 0.5 and 0 < config.gamma < 0.25,
-        lp_status=solution.status,
+        # solve_min_max returns only certified fits; the line stays because pinned
+        # reports and the benchmark's release checks read it.
+        lp_status="optimal",
         lp_iterations=solution.iterations,
         constant_one_added=constant_added,
         n=n,

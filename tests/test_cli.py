@@ -1,4 +1,3 @@
-import functools
 import os
 import re
 import shlex
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 
 import dpsynth
-from dpsynth import Dataset, ProductDistribution, optimize, synth
+from dpsynth import Dataset, ProductDistribution, optimize
 from dpsynth.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, build_parser, main
 
 
@@ -81,9 +80,7 @@ class TestGenerateCommand:
         assert "needs n >=" in capsys.readouterr().err
 
     def test_iteration_limit_exit_code(self, data_file, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(
-            synth, "solve_min_max", functools.partial(optimize.solve_min_max, max_iterations=0)
-        )
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 0)
         code, out, _ = run_generate(data_file, tmp_path)
         assert code == EXIT_GATE
         err = capsys.readouterr().err

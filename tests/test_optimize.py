@@ -15,6 +15,7 @@ from dpsynth import (
     exact_statistics,
     laplace_vector,
     marginal_family,
+    optimize,
     privacy_check,
     solve_min_max,
 )
@@ -146,7 +147,6 @@ class TestSolveMinMax:
         domain = Dataset((2,), [[0], [1]])
         problem = build_lp(family, domain, [1.0, 0.3])
         solution = solve_min_max(problem)
-        assert solution.status == "optimal"
         assert solution.objective == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(solution.density.weights, [0.7, 0.3], atol=1e-12)
         # The fitted density is a distribution like any other.
@@ -208,19 +208,6 @@ class TestSolveMinMax:
         assert first.objective == second.objective
         assert first.iterations == second.iterations
 
-    def test_iteration_limit_returns_feasible_iterate(self):
-        family = QueryFamily(
-            [TestFunction.constant_one(), TestFunction.assignment((0,), (1,))]
-        )
-        domain = Dataset((2,), [[0], [1]])
-        problem = build_lp(family, domain, [1.0, 0.3])
-        solution = solve_min_max(problem, max_iterations=0)
-        assert solution.status == "iteration-limit"
-        assert solution.iterations == 0
-        w = solution.density.weights
-        assert (w >= 0).all()
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-
     def test_marginal_fit_on_reduced_domain(self):
         # an order-1 marginal fit over a sampled Boolean domain reaches a small
         # objective when the targets are consistent
@@ -230,32 +217,19 @@ class TestSolveMinMax:
         domain = Dataset((2,) * 6, rows)
         targets = np.array([1.0] + [0.5] * 6)
         solution = solve_min_max(build_lp(family, domain, targets))
-        assert solution.status == "optimal"
         assert solution.objective <= 0.05
 
-    def test_iteration_cap_counts_every_round(self):
+    def test_iteration_cap_counts_every_round(self, monkeypatch):
         problem = pipeline_sized_problem(7)
         full = solve_min_max(problem)
-        assert full.status == "optimal"
         # column generation added points to the first 2|F| + 1
         assert np.count_nonzero(full.density.weights) > 2 * 137 + 1
-        capped = solve_min_max(problem, max_iterations=full.iterations - 1)
-        assert capped.status == "iteration-limit"
-        assert capped.iterations == full.iterations - 1
-        w = capped.density.weights
-        assert (w >= 0).all()
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("cap", [-1, -5, 2.5])
-    def test_iteration_cap_must_be_a_non_negative_integer(self, cap):
-        rng = np.random.default_rng(5)
-        problem = FitProblem(
-            values=rng.uniform(-1.0, 1.0, size=(3, 5)),
-            targets=rng.uniform(-1.5, 1.5, size=3),
-            support=Dataset((5,), np.arange(5)[:, None]),
-        )
-        with pytest.raises(ValueError, match="max_iterations must be a non-negative integer"):
-            solve_min_max(problem, max_iterations=cap)
+        cap = full.iterations - 1
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", cap)
+        with pytest.raises(
+            FitGateError, match=f"^min-max fit stopped: iteration-limit after {cap} iterations$"
+        ):
+            solve_min_max(problem)
 
     def test_singular_normal_matrix_is_a_fit_gate_error(self, monkeypatch):
         def singular(*args):
@@ -406,7 +380,6 @@ class TestAgainstHighs:
             problem = pipeline_sized_problem(seed)
             assert problem.values.shape[0] == 137
             solution = solve_min_max(problem)
-            assert solution.status == "optimal"
             assert solution.objective == pytest.approx(highs_min_max(problem), abs=1e-9)
 
     def test_instance_c_matches_highs(self):
@@ -423,7 +396,6 @@ class TestAgainstHighs:
         start = time.perf_counter()
         solution = solve_min_max(problem)
         elapsed = time.perf_counter() - start
-        assert solution.status == "optimal"
         assert elapsed <= 30.0
         # HiGHS's optimum (highs_min_max, scipy 1.17.1), frozen: the live solve
         # takes about 30 s and 0.5 GB.
@@ -443,7 +415,6 @@ def test_consistent_targets_reach_zero():
             values=problem.values, targets=problem.values @ h0, support=problem.support
         )
         solution = solve_min_max(consistent)
-        assert solution.status == "optimal"
         assert solution.objective <= 1e-9
         residual = consistent.values @ solution.density.weights - consistent.targets
         assert np.abs(residual).max() <= 1e-7
@@ -457,7 +428,6 @@ def test_point_mass_targets_reach_zero():
         values=problem.values, targets=problem.values[:, 7111], support=problem.support
     )
     solution = solve_min_max(point_mass)
-    assert solution.status == "optimal"
     assert solution.objective <= 1e-9
     residual = point_mass.values @ solution.density.weights - point_mass.targets
     assert np.abs(residual).max() <= 1e-7

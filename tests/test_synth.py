@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -302,9 +301,7 @@ class TestGenerate:
 
     def test_iteration_limit_is_a_gate_failure(self, pipeline_inputs, monkeypatch):
         data, family, sampling, config = pipeline_inputs
-        monkeypatch.setattr(
-            synth, "solve_min_max", functools.partial(optimize.solve_min_max, max_iterations=0)
-        )
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 0)
         with pytest.raises(FitGateError, match="iteration-limit after 0 iterations"):
             generate(data, family, sampling, config)
 
