@@ -231,6 +231,64 @@ class TestSolveMinMax:
         ):
             solve_min_max(problem)
 
+    def test_iteration_cap_of_zero_raises_before_any_iteration(self, monkeypatch):
+        family = QueryFamily(
+            [TestFunction.constant_one(), TestFunction.assignment((0,), (1,))]
+        )
+        problem = build_lp(family, Dataset((2,), [[0], [1]]), [1.0, 0.3])
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", 0)
+        with pytest.raises(
+            FitGateError, match="^min-max fit stopped: iteration-limit after 0 iterations$"
+        ):
+            solve_min_max(problem)
+
+    def test_fit_that_uses_exactly_the_cap_is_returned(self, monkeypatch):
+        problem = pipeline_sized_problem(7)
+        full = solve_min_max(problem)
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", full.iterations)
+        capped = solve_min_max(problem)
+        assert capped.iterations == full.iterations
+        assert capped.objective == full.objective
+        assert np.array_equal(capped.density.weights, full.density.weights)
+
+    def test_cap_reached_between_rounds_raises(self, monkeypatch):
+        # the master converged, but pricing wants another round the cap leaves no room for
+        rounds = []
+        master = optimize._interior_point
+
+        def recording(a, b, working, budget):
+            result = master(a, b, working, budget)
+            rounds.append(result[2])
+            return result
+
+        monkeypatch.setattr(optimize, "_interior_point", recording)
+        problem = pipeline_sized_problem(7)
+        solve_min_max(problem)
+        assert len(rounds) > 1
+        cap = rounds[0]
+        monkeypatch.setattr(optimize, "MAX_ITERATIONS", cap)
+        with pytest.raises(
+            FitGateError, match=f"^min-max fit stopped: iteration-limit after {cap} iterations$"
+        ):
+            solve_min_max(problem)
+
+    def test_failed_dual_certificate_is_a_fit_gate_error(self, monkeypatch):
+        # a master that answers uniform weights with the true duals: the fit is 0.2 off
+        # the optimum 0, so the dual bound the prices certify rejects it
+        master = optimize._interior_point
+
+        def uniform(a, b, working, budget):
+            h, y, used, converged = master(a, b, working, budget)
+            return np.ones_like(h), y, used, converged
+
+        monkeypatch.setattr(optimize, "_interior_point", uniform)
+        family = QueryFamily(
+            [TestFunction.constant_one(), TestFunction.assignment((0,), (1,))]
+        )
+        problem = build_lp(family, Dataset((2,), [[0], [1]]), [1.0, 0.3])
+        with pytest.raises(FitGateError, match=r"^dual certificate failed: 2\.000e-01 > "):
+            solve_min_max(problem)
+
     def test_singular_normal_matrix_is_a_fit_gate_error(self, monkeypatch):
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
