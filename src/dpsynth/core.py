@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -377,6 +378,7 @@ def _edge_counter(inner: np.ndarray):
     return search
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class TestFunction:
     """A conjunction query: the indicator that each coordinate in ``coords``
     takes its ``assigned`` value.
@@ -386,18 +388,32 @@ class TestFunction:
       * ``monotone``: product of the 0/1 coordinates in ``coords`` (Boolean
         coordinates only), so each is assigned 1.
       * ``assignment``: indicator of fixed ``assigned`` values.
+
+    Immutable and compared by value: construction checks the (coordinate, value)
+    pairs, sorts them by coordinate and makes a function over none the constant.
     """
 
-    __slots__ = ("kind", "coords", "assigned")
+    kind: str
+    coords: tuple[int, ...] = ()
+    assigned: tuple[int, ...] = ()
 
-    def __init__(self, kind, coords=(), assigned=()):
-        self.kind = kind
-        self.coords = tuple(int(c) for c in coords)
-        self.assigned = tuple(int(v) for v in assigned)
-        if any(c < 0 for c in self.coords):
+    def __post_init__(self):
+        if len(self.coords) != len(self.assigned):
+            raise ValueError("need one assigned value per coordinate")
+        pairs = sorted((int(c), int(v)) for c, v in zip(self.coords, self.assigned))
+        coords, assigned = tuple(c for c, _ in pairs), tuple(v for _, v in pairs)
+        if any(c < 0 for c in coords):
             raise ValueError("coordinate indices must be nonnegative")
-        if len(set(self.coords)) != len(self.coords):
+        if len(set(coords)) != len(coords):
             raise ValueError("coordinate indices must be distinct")
+        if any(v < 0 for v in assigned):
+            raise ValueError("assigned values must be nonnegative")
+        if not coords:
+            object.__setattr__(self, "kind", "constant")
+        elif not (self.kind == "assignment" or (self.kind == "monotone" and set(assigned) == {1})):
+            raise ValueError("kind must be assignment, or monotone with every value 1")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "assigned", assigned)
 
     @classmethod
     def constant_one(cls) -> "TestFunction":
@@ -406,22 +422,12 @@ class TestFunction:
     @classmethod
     def monotone(cls, coords: Sequence[int]) -> "TestFunction":
         """Product of the selected Boolean coordinates (1 on the empty set)."""
-        coords = tuple(sorted(int(c) for c in coords))
-        return cls("monotone", coords=coords, assigned=(1,) * len(coords))
+        return cls("monotone", coords, (1,) * len(coords))
 
     @classmethod
     def assignment(cls, coords: Sequence[int], values: Sequence[int]) -> "TestFunction":
         """Indicator that each selected coordinate takes its assigned value."""
-        if len(coords) != len(values):
-            raise ValueError("need one assigned value per coordinate")
-        pairs = sorted(zip((int(c) for c in coords), (int(v) for v in values)))
-        if any(v < 0 for _, v in pairs):
-            raise ValueError("assigned values must be nonnegative")
-        return cls(
-            "assignment",
-            coords=tuple(c for c, _ in pairs),
-            assigned=tuple(v for _, v in pairs),
-        )
+        return cls("assignment", coords, values)
 
     @property
     def is_constant_one(self) -> bool:
@@ -434,17 +440,6 @@ class TestFunction:
             return "*".join(f"x{c + 1}" for c in self.coords)
         inner = ",".join(f"x{c + 1}={v}" for c, v in zip(self.coords, self.assigned))
         return f"ind({inner})"
-
-    def _key(self):
-        return (self.kind, self.coords, self.assigned)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TestFunction):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"TestFunction({self.label()})"

@@ -45,7 +45,9 @@ def _inverse_cdf_sample(masses: np.ndarray, u: np.ndarray) -> np.ndarray:
     held = np.flatnonzero(masses > 0)  # the CDF rises only there, and adding 0.0 is exact
     idx = _edge_counter(np.cumsum(masses[held]))(u)
     # Masses sum to 1 only within rounding, so a uniform can land above the
-    # CDF's last value; "clip" keeps it on the last positive mass.
+    # CDF's last value; "clip" keeps it on the last positive mass. It also lets
+    # np.take write into ``out`` in place: under "raise" numpy buffers ``out``,
+    # 8 bytes a draw, which the sampler's memory bound does not leave room for.
     return np.take(held, idx, mode="clip", out=idx)
 
 

@@ -147,11 +147,12 @@ def _normal_solver(table: np.ndarray, d: np.ndarray):
     return solve
 
 
-def _interior_point(a: np.ndarray, b: np.ndarray, working: np.ndarray, budget: int):
+def _interior_point(a: np.ndarray, b: np.ndarray, working: np.ndarray, done: int):
     """Mehrotra's predictor-corrector on the master over the support points ``working``.
 
-    Returns the weights h, the duals y = (y_sum, u, v), the iterations taken
-    and whether the stopping test was met within ``budget`` iterations.
+    Counts on from the fit's ``done`` iterations. Returns the weights h, the duals
+    y = (y_sum, u, v) and the count once the stopping test is met; raises FitGateError
+    when the count reaches MAX_ITERATIONS first.
     """
     nf, w = len(b), len(working)
     table = np.ones((nf + 1, w))  # the points' columns (1, a_i), one C-contiguous table
@@ -164,7 +165,7 @@ def _interior_point(a: np.ndarray, b: np.ndarray, working: np.ndarray, budget: i
     z = np.ones(len(x))
     y = np.zeros(2 * nf + 1)
     last = np.inf
-    for iteration in itertools.count():
+    for iteration in itertools.count(done):
         r_p = target - _master_product(table, x)
         r_d = -_dual_product(table, y) - z
         r_d[w] += 1.0  # t's cost
@@ -176,9 +177,10 @@ def _interior_point(a: np.ndarray, b: np.ndarray, working: np.ndarray, budget: i
         # no longer shrinks them tenfold, or once x . z is at rounding level,
         # past which the iterates only crowd the boundary until x / z overflows.
         xz = x @ z
-        converged = (last < 1e-9 and error > last / 10) or xz < 1e-14 * (1 + x[w])
-        if converged or iteration == budget:
-            return x[:w], y, iteration, converged
+        if (last < 1e-9 and error > last / 10) or xz < 1e-14 * (1 + x[w]):
+            return x[:w], y, iteration
+        if iteration >= MAX_ITERATIONS:
+            raise FitGateError(f"min-max fit stopped: iteration-limit after {iteration} iterations")
         last = error
         d = x / z
         dr = d * r_d
@@ -219,20 +221,15 @@ def solve_min_max(problem: FitProblem) -> FitSolution:
     step = 64 * max(1, _STATS_BLOCK // (512 * nf))  # pricing's columns per block
     iterations = 0
     while True:
-        h, y, used, converged = _interior_point(a, b, working, MAX_ITERATIONS - iterations)
-        iterations += used
+        h, y, iterations = _interior_point(a, b, working, iterations)
         u = y[1 : nf + 1]
         cast = (np.ascontiguousarray(a[:, i : i + step], float) for i in range(0, m, step))
         g = np.concatenate([u @ block for block in cast])
         prices = -(g + y[0])
         prices[working] = 0.0
         entering = np.flatnonzero(prices < -OPTIMALITY_GAP)
-        if converged and not len(entering):
+        if not len(entering):
             break
-        if not converged or iterations >= MAX_ITERATIONS:
-            raise FitGateError(
-                f"min-max fit stopped: iteration-limit after {iterations} iterations"
-            )
         order = np.argsort(prices[entering], kind="stable")[: max(2 * nf, 50)]
         working = np.concatenate([working, entering[order]])
 

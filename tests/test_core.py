@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -17,8 +18,9 @@ from dpsynth import (
     build_lp,
     evaluate_all,
 )
+import dpsynth
 import schema_oracle
-from dpsynth import core
+from dpsynth import audit, core
 from dpsynth.core import (
     _TEXT_BLOCK,
     _read_grid,
@@ -484,6 +486,56 @@ class TestTestFunction:
         }
         assert len(funcs) == 2
         assert TestFunction.monotone((0,)) != TestFunction.assignment((0,), (1,))
+
+    @pytest.mark.parametrize("field", ["kind", "coords", "assigned"])
+    def test_fields_cannot_be_assigned(self, field):
+        f = TestFunction.assignment((0,), (1,))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, field, getattr(f, field))
+        assert f == TestFunction.assignment((0,), (1,))
+
+    @pytest.mark.parametrize(
+        "kind, coords, assigned, message",
+        [
+            ("assignment", (0, 1), (1,), "one assigned value per coordinate"),
+            ("monotone", (0,), (0,), "monotone with every value 1"),
+            ("bogus", (0,), (1,), "kind must be assignment"),
+            ("constant", (0,), (1,), "kind must be assignment"),
+        ],
+    )
+    def test_malformed_construction_raises(self, kind, coords, assigned, message):
+        with pytest.raises(ValueError, match=message):
+            TestFunction(kind, coords, assigned)
+
+    def test_functions_over_no_coordinates_are_the_constant(self):
+        forms = [
+            TestFunction.monotone(()), TestFunction.assignment((), ()), TestFunction.constant_one()
+        ]
+        assert all(f == forms[-1] and hash(f) == hash(forms[-1]) for f in forms)
+
+    def test_constructor_sorts_pairs(self):
+        f = TestFunction("assignment", (2, 0), (1, 0))
+        assert f == TestFunction.assignment((0, 2), (0, 1))
+        assert (f.coords, f.assigned) == ((0, 2), (0, 1))
+
+    def test_numpy_arguments(self):
+        f = TestFunction.assignment(np.array([2, 0]), np.array([1, 0], dtype=np.uint8))
+        assert f == TestFunction.assignment((0, 2), (0, 1))
+        assert all(type(v) is int for v in f.coords + f.assigned)
+        assert TestFunction.monotone(np.array([1, 0])) == TestFunction.monotone((0, 1))
+
+
+def test_every_public_value_type_is_frozen():
+    results = [
+        audit.DeviationCheckResult,
+        audit.ReweightedCheckResult,
+        audit.PrivacyAuditResult,
+        audit.BooleanExperimentResult,
+    ]
+    public = [getattr(dpsynth, name) for name in dpsynth.__all__] + results
+    classes = [c for c in public if isinstance(c, type) and dataclasses.is_dataclass(c)]
+    assert TestFunction in classes and all(c in classes for c in results)
+    assert [c.__name__ for c in classes if not c.__dataclass_params__.frozen] == []
 
 
 class TestQueryFamily:

@@ -256,8 +256,8 @@ class TestSolveMinMax:
         rounds = []
         master = optimize._interior_point
 
-        def recording(a, b, working, budget):
-            result = master(a, b, working, budget)
+        def recording(a, b, working, done):
+            result = master(a, b, working, done)
             rounds.append(result[2])
             return result
 
@@ -277,9 +277,9 @@ class TestSolveMinMax:
         # the optimum 0, so the dual bound the prices certify rejects it
         master = optimize._interior_point
 
-        def uniform(a, b, working, budget):
-            h, y, used, converged = master(a, b, working, budget)
-            return np.ones_like(h), y, used, converged
+        def uniform(a, b, working, done):
+            h, y, iterations = master(a, b, working, done)
+            return np.ones_like(h), y, iterations
 
         monkeypatch.setattr(optimize, "_interior_point", uniform)
         family = QueryFamily(
