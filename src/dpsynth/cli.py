@@ -19,7 +19,6 @@ from .distributions import (
     _real,
     parse_distribution_spec,
     renyi_condition_number_exact,
-    renyi_condition_number_mc,
 )
 from .optimize import FitGateError
 from .queries import parse_query_spec
@@ -141,13 +140,7 @@ def _cmd_audit_corollary(args) -> tuple[str, bool]:
 def _cmd_kappa(args) -> tuple[str, bool]:
     population = _load_distribution(args.nu)
     sampling = _load_distribution(args.mu, population.schema)
-    if args.mc is not None:
-        if args.seed is None:
-            raise ValueError("--mc needs --seed")
-        value = renyi_condition_number_mc(population, sampling, args.mc, args.seed)
-    else:
-        value = renyi_condition_number_exact(population, sampling)
-    return f"{value:.9f}\n", True
+    return f"{renyi_condition_number_exact(population, sampling):.9f}\n", True
 
 
 # Every option, declared once: its type, its default or that it is required, and its help.
@@ -171,7 +164,6 @@ _OPTIONS = {
     "trials": dict(type=_integer, required=True, help="audit trials"),
     "bins": dict(type=_integer, required=True, help="histogram bins"),
     "slack": dict(type=_number, default=DEFAULT_AUDIT_SLACK, help="allowed excess of epsilon_hat"),
-    "mc": dict(type=_integer, default=None, help="Monte Carlo sample count (default: exact)"),
     "seed": dict(type=_integer, required=True, help="random seed"),
     "out": dict(required=True, help="synthetic dataset output path"),
     "allow-privacy-failure": dict(action="store_true", help="do not enforce the privacy gate"),
@@ -214,10 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("lemma3", "lemma4", "dp", "corollary"):
         _add_command(audit_sub, name)
     kap = sub.add_parser("kappa", help="condition number of one distribution against another")
-    for option in ("nu", "mu", "mc"):
+    for option in ("nu", "mu"):
         kap.add_argument(f"--{option}", **_OPTIONS[option])
-    # Optional here, as only --mc draws. kappa prints its value alone, to stdout.
-    kap.add_argument("--seed", type=_integer, help="random seed for --mc")
+    # kappa prints its value alone, to stdout.
     kap.set_defaults(func=_cmd_kappa, echo=[], report=None)
     return parser
 

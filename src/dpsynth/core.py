@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -91,6 +92,8 @@ class Dataset:
         ``\n`` or ``\r\n``; spaces and tabs around a cell and trailing blank
         lines are ignored. Any other byte raises ValueError naming its line.
         """
+        if not isinstance(text, (bytes, bytearray)):
+            raise TypeError(f"from_text needs bytes, not {type(text).__name__}")
         end = _body_end(text)
         head_end = text.find(b"\n", 0, end)
         if head_end < 0:
@@ -120,7 +123,7 @@ class Dataset:
 
 
 def _check_schema(schema: Sequence[int]) -> tuple[int, ...]:
-    schema = tuple(int(a) for a in schema)
+    schema = tuple(operator.index(a) for a in schema)
     if len(schema) == 0:
         raise ValueError("schema must have at least one coordinate")
     if any(a < 1 for a in schema):
@@ -400,7 +403,7 @@ class TestFunction:
     def __post_init__(self):
         if len(self.coords) != len(self.assigned):
             raise ValueError("need one assigned value per coordinate")
-        pairs = sorted((int(c), int(v)) for c, v in zip(self.coords, self.assigned))
+        pairs = sorted(zip(map(operator.index, self.coords), map(operator.index, self.assigned)))
         coords, assigned = tuple(c for c, _ in pairs), tuple(v for _, v in pairs)
         if any(c < 0 for c in coords):
             raise ValueError("coordinate indices must be nonnegative")

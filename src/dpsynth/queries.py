@@ -5,7 +5,9 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Sequence
 
-from .core import QueryFamily, TestFunction, _on_line, _scan_line, _spec_lines, _spec_words
+from .core import (
+    QueryFamily, TestFunction, _check_schema, _on_line, _scan_line, _spec_lines, _spec_words,
+)
 
 
 def marginal_family(p: int, d: int, kind: str = "monotone") -> QueryFamily:
@@ -75,7 +77,7 @@ def parse_query_spec(text: str, schema: Sequence[int]) -> QueryFamily:
     The constant-one function is kept once, and prepended when the listing
     does not produce it.
     """
-    schema = tuple(int(a) for a in schema)
+    schema = _check_schema(schema)
     funcs: list[TestFunction] = []
     for lineno, line in _spec_lines(text):
         for f in _on_line(lineno, _directive, _spec_words(line), schema):

@@ -8,6 +8,7 @@ records from the fit. Everything after the noise step is post-processing.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -44,6 +45,11 @@ class PipelineConfig:
     def __post_init__(self):
         # delta, gamma, epsilon and kappa_bound are the ledger's to check:
         # generate builds it before it reads the data.
+        for name in ("synthetic_size", "reduced_size", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer") from None
         if self.synthetic_size < 1:
             raise ValueError("synthetic_size must be >= 1")
         if self.reduced_size < 1:
@@ -106,7 +112,7 @@ class PipelineReport:
     privacy_passed: bool
     accuracy_passed: bool
     config_in_range: bool
-    lp_status: str
+    lp_status: str = field(default="optimal", init=False)  # solve_min_max certifies every fit
     lp_iterations: int
     constant_one_added: bool
     n: int
@@ -184,9 +190,6 @@ def generate(
             and config.reduced_size >= ledger.threshold_m
         ),
         config_in_range=0 < config.delta_target <= 0.5 and 0 < config.gamma < 0.25,
-        # solve_min_max returns only certified fits; the line stays because pinned
-        # reports and the benchmark's release checks read it.
-        lp_status="optimal",
         lp_iterations=solution.iterations,
         constant_one_added=constant_added,
         n=n,

@@ -315,27 +315,19 @@ class TestKappaCommand:
         assert code == EXIT_OK
         assert capsys.readouterr().out == "1.250000000\n"
 
-    def test_monte_carlo(self, capsys, two_point_nu_file):
+    def test_mc_and_seed_are_unrecognized(self, capsys, two_point_nu_file):
         code = main([
             "kappa", "--nu", str(two_point_nu_file), "--mu", "uniform 2",
-            "--mc", "20000", "--seed", "21",
+            "--mc", "100", "--seed", "1",
         ])
-        assert code == EXIT_OK
-        value = float(capsys.readouterr().out)
-        assert value == pytest.approx(1.25, rel=0.05)
-
-    def test_monte_carlo_needs_seed(self, capsys, two_point_nu_file):
-        code = main([
-            "kappa", "--nu", str(two_point_nu_file), "--mu", "uniform 2",
-            "--mc", "100",
-        ])
-        assert code == EXIT_USAGE
-        assert "--mc needs --seed" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err.endswith("error: unrecognized arguments: --mc 100 --seed 1\n")
 
     @pytest.mark.parametrize("nu, mu", [("uniform 2,2,2", "uniform 2,2"),
                                         ("uniform 2,2", "uniform 2,2,2")])
     def test_monte_carlo_schema_mismatch(self, nu, mu, capsys):
-        code = main(["kappa", "--nu", nu, "--mu", mu, "--mc", "100", "--seed", "1"])
+        code = main(["kappa", "--nu", nu, "--mu", mu])
         captured = capsys.readouterr()
         assert code == EXIT_USAGE
         assert captured.out == ""
@@ -617,16 +609,10 @@ def test_query_file_that_is_not_utf8_names_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 3: spec files must be UTF-8 text\n"
 
 
-SEEDED_RUNS = {
-    **{run: PINNED_RUNS[run] for run in ("generate", "lemma3", "lemma4", "dp", "corollary")},
-    "kappa": ["kappa", "--nu", "{nu}", "--mu", "uniform 2", "--mc", "100", "--seed", "1"],
-}
-
-
-@pytest.mark.parametrize("run", sorted(SEEDED_RUNS))
+@pytest.mark.parametrize("run", ["corollary", "dp", "generate", "lemma3", "lemma4"])
 def test_negative_seed_is_a_usage_error(run, data_file, two_point_nu_file, tmp_path, capsys):
     fill = {"data": data_file, "nu": two_point_nu_file, "out": tmp_path / "synthetic.txt"}
-    argv = [arg.format(**fill) for arg in SEEDED_RUNS[run]]
+    argv = [arg.format(**fill) for arg in PINNED_RUNS[run]]
     argv[argv.index("--seed") + 1] = "-1"
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err

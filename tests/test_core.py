@@ -117,6 +117,16 @@ class TestDataset:
         with pytest.raises(ValueError, match="arities must be >= 1"):
             Dataset((2, 0), [])
 
+    @pytest.mark.parametrize("schema", [(2.9, 3), (2.0, 3), (2, np.float64(3))])
+    def test_arities_that_are_not_integers_rejected(self, schema):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            Dataset(schema, [[1, 2]])
+
+    def test_integer_arities_of_any_integer_type_accepted(self):
+        data = Dataset((np.int64(2), np.uint8(3), True), [[1, 2, 0]])
+        assert data.schema == (2, 3, 1)
+        assert all(type(a) is int for a in data.schema)
+
     def test_row_validation(self):
         with pytest.raises(ValueError, match="shape"):
             Dataset((2, 2), [[0, 1, 0]])
@@ -186,6 +196,11 @@ class TestDatasetText:
             ValueError, match="^invalid dataset: line 1: coordinate arities must be >= 1$"
         ):
             Dataset.from_text(b"2,0\n0,0\n")
+
+    def test_text_must_be_bytes(self):
+        with pytest.raises(TypeError, match="^from_text needs bytes, not str$"):
+            Dataset.from_text("2\n1\n")
+        assert Dataset.from_text(bytearray(b"2\n1\n")) == Dataset((2,), [[1]])
 
     def test_row_errors_carry_line_numbers(self):
         with pytest.raises(ValueError, match="line 3: expected comma-separated"):
@@ -517,6 +532,11 @@ class TestTestFunction:
         f = TestFunction("assignment", (2, 0), (1, 0))
         assert f == TestFunction.assignment((0, 2), (0, 1))
         assert (f.coords, f.assigned) == ((0, 2), (0, 1))
+
+    @pytest.mark.parametrize("coords, assigned", [((0.7, 2.2), (1.9, 0)), ((0, 2), (1.0, 0))])
+    def test_arguments_that_are_not_integers_rejected(self, coords, assigned):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            TestFunction.assignment(coords, assigned)
 
     def test_numpy_arguments(self):
         f = TestFunction.assignment(np.array([2, 0]), np.array([1, 0], dtype=np.uint8))

@@ -65,6 +65,10 @@ class TestProductDistribution:
         with pytest.raises(ValueError, match="^coordinate arities must be >= 1$"):
             ProductDistribution.uniform(schema)
 
+    def test_uniform_rejects_arities_that_are_not_integers(self):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            ProductDistribution.uniform((2.5,))
+
     def test_mass(self):
         dist = ProductDistribution([[0.3, 0.7], [0.6, 0.4]])
         assert mass_at(dist, (1, 0)) == pytest.approx(0.42, rel=1e-15)

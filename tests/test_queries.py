@@ -82,6 +82,11 @@ class TestParseQuerySpec:
         family = parse_query_spec("indicator S=1,2 values=2,0", (3, 4))
         assert family[1].label() == "ind(x1=2,x2=0)"
 
+    @pytest.mark.parametrize("schema", [(2.0, 2.7), (2, 2.0)])
+    def test_schema_arities_must_be_integers(self, schema):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            parse_query_spec("marginals monotone d=1", schema)
+
     def test_error_messages_carry_line_numbers(self):
         with pytest.raises(ValueError, match="line 2: unknown directive 'margnals'"):
             parse_query_spec("# ok\nmargnals monotone d=1", (2, 2))

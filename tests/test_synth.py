@@ -87,6 +87,20 @@ class TestPipelineConfig:
     def test_non_finite_values_rejected(self, field, value, match):
         reject_before_reading(base_config(**{field: value}), match)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("synthetic_size", 5.5), ("reduced_size", 10.5), ("seed", 7.0), ("seed", None)],
+    )
+    def test_integer_fields_must_be_integers(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer$"):
+            base_config(**{field: value})
+
+    def test_integer_fields_are_stored_as_ints(self):
+        config = base_config(synthetic_size=np.int64(150), reduced_size=np.uint16(300), seed=True)
+        values = (config.synthetic_size, config.reduced_size, config.seed)
+        assert values == (150, 300, 1)
+        assert all(type(v) is int for v in values)
+
     def test_delta_whose_square_overflows_is_a_value_error(self):
         config = base_config(delta_target=1e300, reduced_size=10)
         reject_before_reading(config, "delta\\^2 overflows")
