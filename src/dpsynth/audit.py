@@ -44,13 +44,12 @@ def _binomial_gate(rate: float, trials: int) -> float:
 
 
 def _trial_rows(dist, trials: int, count: int, queries: QueryFamily, rng):
-    """Blocks of the trials' rows, count each, and their (|F|, trials, count) Boolean tables."""
+    """Blocks of the trials' rows, a (trials, count, p) array each: one trial, or as many
+    as keep the block's rows and their (|F|, rows) Boolean table near _STATS_BLOCK cells."""
     step = max(1, _STATS_BLOCK // max(1, count * max(len(dist.schema), len(queries))))
     rng = np.random.default_rng(rng)  # once: each block continues its stream
     for start in range(0, trials, step):
-        rows = dist._draw(min(step, trials - start), count, rng).reshape(-1, len(dist.schema))
-        yield rows, queries.values_matrix(rows).reshape(len(queries), -1, count)
-        del rows  # before the next block is drawn
+        yield dist._draw(min(step, trials - start), count, rng)
 
 
 @dataclass(frozen=True)
@@ -77,10 +76,12 @@ def deviation_check_empirical(
     threshold_n, _ = _accuracy_thresholds(len(queries), delta, gamma)
     exact = exact_statistics(population, queries)
     failures = 0
-    for rows, table in _trial_rows(population, trials, n, queries, rng):
-        stats = table.sum(axis=2, dtype=np.int32).T / n  # exact counts, a row a trial
-        failures += int(np.count_nonzero(np.max(np.abs(stats - exact), axis=1) > delta))
-        del rows, table  # before the next block is drawn
+    for block in _trial_rows(population, trials, n, queries, rng):
+        for rows in block:
+            # Exact counts, summed one kernel block at a time: no (|F|, n) table.
+            stats = queries._counts(rows) / n
+            failures += int(np.max(np.abs(stats - exact)) > delta)
+        del block, rows  # before the next block is drawn
     failure_rate = failures / trials
     gate = _binomial_gate(gamma, trials)
     return DeviationCheckResult(
@@ -123,7 +124,9 @@ def reweighted_deviation_check(
     _, threshold_m = _accuracy_thresholds(len(queries), delta, gamma, kappa)
     failures = 0
     masses = []
-    for rows, table in _trial_rows(sampling, trials, m, queries, rng):
+    for block in _trial_rows(sampling, trials, m, queries, rng):
+        rows = block.reshape(-1, len(sampling.schema))
+        table = queries.values_matrix(rows).reshape(len(queries), -1, m)
         den = sampling.mass_many(rows)
         if (den == 0).any():
             raise ValueError("draws must lie in the sampling distribution's support")
@@ -132,7 +135,7 @@ def reweighted_deviation_check(
             stats = queries._held_sums(table[:, t], trial)
             failures += int(np.max(np.abs(stats - exact)) > delta)
             masses.append(math.fsum(trial.tolist()))
-        del rows, table, den, weights  # before the next block is drawn
+        del block, rows, table, den, weights  # before the next block is drawn
     failure_rate = failures / trials
     mean_r = math.fsum(masses) / trials
     gate = _binomial_gate(gamma, trials)

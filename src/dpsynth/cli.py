@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import mmap
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -76,8 +79,18 @@ def _load_distribution(spec: str, schema=None):
 
 def _read_dataset(path: str) -> Dataset:
     # The file's bytes as they are, with no decoding and no newline
-    # translation: the CLI parses the same bytes as the library.
-    return Dataset.from_text(Path(path).read_bytes())
+    # translation: the CLI parses the same bytes as the library. A regular
+    # file is mapped, not copied; a pipe or an empty file cannot be, and is
+    # read whole. The map goes with its last view rather than by close(),
+    # which a parse error's traceback would make raise; from_text keeps no
+    # view, so the map is gone before --out, which may be this file, is opened.
+    with open(path, "rb") as f:
+        info = os.fstat(f.fileno())
+        if stat.S_ISREG(info.st_mode) and info.st_size:
+            text = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        else:
+            text = f.read()
+    return Dataset.from_text(text)
 
 
 def _cmd_generate(args) -> tuple[str, bool]:
@@ -96,7 +109,8 @@ def _cmd_generate(args) -> tuple[str, bool]:
         export_noisy_targets=args.export_noisy_targets,
     )
     result = generate(data, queries, sampling, config)
-    Path(args.out).write_bytes(result.synthetic.to_text())
+    with open(args.out, "wb") as out:  # each block is written as it is rendered
+        out.writelines(result.synthetic._text_blocks())
     return result.report.to_text(), True
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import mmap
 import operator
 import warnings
 from dataclasses import dataclass
@@ -78,21 +79,28 @@ class Dataset:
 
     def to_text(self) -> bytes:
         """Serialize: arity line, then one comma-separated row per record."""
+        return b"".join(self._text_blocks())
+
+    def _text_blocks(self) -> Iterator[bytes | np.ndarray]:
+        """The bytes of ``to_text`` in pieces, each rendered when it is asked
+        for: the arity line, then the lines of one block of rows at a time."""
+        yield (",".join(str(a) for a in self._schema) + "\n").encode()
         step = max(1, _TEXT_BLOCK // len(self._schema))
-        parts = [(",".join(str(a) for a in self._schema) + "\n").encode()]
         for start in range(0, len(self), step):
-            parts.append(_render_block(self._rows[start : start + step]))
-        return b"".join(parts)
+            yield _render_block(self._rows[start : start + step])
 
     @classmethod
-    def from_text(cls, text: bytes) -> "Dataset":
+    def from_text(cls, text: bytes | bytearray | mmap.mmap) -> "Dataset":
         r"""Parse the bytes written by ``to_text``.
 
-        Cells are ASCII decimal integers separated by ``,``; rows end in
-        ``\n`` or ``\r\n``; spaces and tabs around a cell and trailing blank
-        lines are ignored. Any other byte raises ValueError naming its line.
+        Takes bytes, a bytearray or a read-only ``mmap`` of a file; a str
+        raises TypeError. The rows are copied out, so the dataset holds no
+        reference to ``text``. Cells are ASCII decimal integers separated by
+        ``,``; rows end in ``\n`` or ``\r\n``; spaces and tabs around a cell
+        and trailing blank lines are ignored. Any other byte raises ValueError
+        naming its line.
         """
-        if not isinstance(text, (bytes, bytearray)):
+        if not isinstance(text, (bytes, bytearray, mmap.mmap)):
             raise TypeError(f"from_text needs bytes, not {type(text).__name__}")
         end = _body_end(text)
         head_end = text.find(b"\n", 0, end)
@@ -533,6 +541,14 @@ class QueryFamily:
             table[:, end - mask.shape[1] : end] = mask
         return table
 
+    def _counts(self, rows: np.ndarray) -> np.ndarray:
+        """How many rows each conjunction holds on, summed one kernel block at a time."""
+        counts = np.zeros(len(self), dtype=np.intp)
+        for mask in self._masks(rows):
+            # int32 sums of a block are exact, and faster than intp's.
+            counts += mask.sum(axis=1, dtype=np.int32)
+        return counts
+
     def weighted_sums(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """For every function, the compensated sum of the weights of the rows it
         holds on."""
@@ -561,11 +577,7 @@ def evaluate_all(queries: QueryFamily, data: Dataset) -> np.ndarray:
     if len(data) == 0:
         raise ValueError("empty dataset")
     queries.check_schema(data.schema)
-    counts = np.zeros(len(queries), dtype=np.intp)
-    for mask in queries._masks(data.rows):
-        # int32 sums of a block are exact, and faster than intp's.
-        counts += mask.sum(axis=1, dtype=np.int32)
-    return counts / len(data)
+    return queries._counts(data.rows) / len(data)
 
 
 def accuracy_error(queries: QueryFamily, x: Dataset, y: Dataset) -> float:

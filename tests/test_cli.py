@@ -29,12 +29,10 @@ def two_point_nu_file(tmp_path):
     return path
 
 
-def run_generate(data_file, tmp_path, extra=(), seed="7"):
-    out = tmp_path / "synthetic.txt"
-    report = tmp_path / "report.txt"
-    argv = [
+def generate_argv(data, out, report, seed="7"):
+    return [
         "generate",
-        "--data", str(data_file),
+        "--data", str(data),
         "--queries", "marginals monotone d=1",
         "--mu", "uniform",
         "--delta", "0.25",
@@ -45,9 +43,21 @@ def run_generate(data_file, tmp_path, extra=(), seed="7"):
         "--out", str(out),
         "--report", str(report),
     ]
-    argv.extend(extra)
-    code = main(argv)
+
+
+def run_generate(data_file, tmp_path, extra=(), seed="7"):
+    out = tmp_path / "synthetic.txt"
+    report = tmp_path / "report.txt"
+    code = main([*generate_argv(data_file, out, report, seed), *extra])
     return code, out, report
+
+
+def run_in_child(argv, **kwargs):
+    """``python -m dpsynth.cli`` on argv in a child process, importing this package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(dpsynth.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "dpsynth.cli", *argv], env=env, capture_output=True, **kwargs
+    )
 
 
 class TestGenerateCommand:
@@ -139,6 +149,42 @@ class TestGenerateCommand:
         code, out, _ = run_generate(crlf, tmp_path)
         assert code == EXIT_OK
         assert len(Dataset.from_text(out.read_bytes())) == 120
+
+    def test_data_may_be_a_pipe(self, data_file, tmp_path):
+        code, out, _ = run_generate(data_file, tmp_path)
+        argv = generate_argv("/dev/stdin", tmp_path / "piped.txt", tmp_path / "report.txt")
+        done = run_in_child(argv, input=data_file.read_bytes())
+        assert (code, done.returncode, done.stderr) == (EXIT_OK, EXIT_OK, b"")
+        assert (tmp_path / "piped.txt").read_bytes() == out.read_bytes()
+
+    def test_empty_data_file_is_one_error_line(self, tmp_path):
+        data = tmp_path / "empty.txt"
+        data.write_bytes(b"")
+        done = run_in_child(generate_argv(data, tmp_path / "out.txt", tmp_path / "report.txt"))
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr == b"error: line 1: expected comma-separated arities\n"
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_bad_cell_in_a_late_block_names_its_line(self, tmp_path, capsys):
+        rows = np.random.default_rng(5).integers(0, 2, size=(150_000, 5))
+        text = bytearray(Dataset((2,) * 5, rows).to_text())  # 1.5 MB: two parse blocks
+        text[10 + 140_000 * 10 + 4] = ord("x")  # in the second: line 140,002, third cell
+        data = tmp_path / "late.txt"
+        data.write_bytes(text)
+        code, out, _ = run_generate(data, tmp_path)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: line 140002: expected comma-separated category indices\n"
+        )
+        assert not out.exists()
+
+    def test_out_may_name_the_data_file(self, data_file, tmp_path):
+        code, out, _ = run_generate(data_file, tmp_path)
+        same = tmp_path / "same.txt"
+        same.write_bytes(data_file.read_bytes())
+        argv = generate_argv(same, same, tmp_path / "report.txt")
+        assert (code, main(argv)) == (EXIT_OK, EXIT_OK)
+        assert same.read_bytes() == out.read_bytes()
 
     def test_bad_query_spec(self, data_file, tmp_path, capsys):
         out = tmp_path / "o.txt"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import mmap
 from fractions import Fraction
 
 import numpy as np
@@ -201,6 +202,17 @@ class TestDatasetText:
         with pytest.raises(TypeError, match="^from_text needs bytes, not str$"):
             Dataset.from_text("2\n1\n")
         assert Dataset.from_text(bytearray(b"2\n1\n")) == Dataset((2,), [[1]])
+
+    def test_mapped_file_parses_as_its_bytes(self, tmp_path):
+        rows = np.random.default_rng(2).integers(0, 1000, size=(120_000, 3))
+        path = tmp_path / "data.txt"
+        path.write_bytes(Dataset((1000,) * 3, rows).to_text())  # 1.3 MB, two parse blocks
+        with open(path, "rb") as f:
+            text = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        data = Dataset.from_text(text)
+        text.close()  # raises BufferError while a view of the map is alive
+        assert data == Dataset.from_text(path.read_bytes())
+        assert data.rows.tolist() == rows.tolist()
 
     def test_row_errors_carry_line_numbers(self):
         with pytest.raises(ValueError, match="line 3: expected comma-separated"):
