@@ -44,8 +44,8 @@ def _binomial_gate(rate: float, trials: int) -> float:
 
 
 def _trial_rows(dist, trials: int, count: int, queries: QueryFamily, rng):
-    """Blocks of the trials' rows, a (trials, count, p) array each: one trial, or as many
-    as keep the block's rows and their (|F|, rows) Boolean table near _STATS_BLOCK cells."""
+    """Blocks of the trials' rows, a (trials, count, p) array each: one trial, or as many as
+    keep near _STATS_BLOCK cells the rows plus, for Lemma 4 only, their (|F|, rows) table."""
     step = max(1, _STATS_BLOCK // max(1, count * max(len(dist.schema), len(queries))))
     rng = np.random.default_rng(rng)  # once: each block continues its stream
     for start in range(0, trials, step):

@@ -349,12 +349,6 @@ def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, first
 
 
-def _first_occurrences(rows: np.ndarray) -> np.ndarray:
-    """Indices of the distinct rows' first occurrences, in increasing order."""
-    order, first = _row_groups(rows)
-    return np.sort(order[first])
-
-
 def _edge_counter(inner: np.ndarray):
     """x -> np.searchsorted(inner, x, side="right") for sorted finite edges, by an exact lookup:
     a uniform grid of 4*len(inner) buckets over the edges gives x a bucket g, start[g] edges lie

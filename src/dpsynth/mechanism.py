@@ -13,23 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _laplace_from_uniform(sigma: float, u: np.ndarray) -> np.ndarray:
-    """Inverse CDF on a single uniform draw per sample; exact scale in sigma.
-
-    Computes -sigma * sign(u - 1/2) * log1p(-2 |u - 1/2|) in that order, in
-    place in u and one array for the result, so u is overwritten.
-    """
-    centered = np.subtract(u, 0.5, out=u)
-    draws = np.sign(centered)
-    draws *= -sigma
-    np.abs(centered, out=centered)
-    centered *= -2.0
-    draws *= np.log1p(centered, out=centered)
-    return draws
-
-
 def laplace_vector(sigma: float, size, rng) -> np.ndarray:
-    """Independent Laplace draws with P(|lam| > t) = exp(-t/sigma); size may be a shape."""
+    """Independent Laplace draws with P(|lam| > t) = exp(-t/sigma); size may be a shape.
+
+    Inverse CDF, -sigma * sign(u - 1/2) * log1p(-2 |u - 1/2|) on one uniform u per draw,
+    computed in that order in place in u, so only the uniforms and the result are held.
+    """
     if not (sigma > 0 and math.isfinite(sigma)):
         raise ValueError("sigma must be positive and finite")
     rng = np.random.default_rng(rng)
@@ -37,7 +26,13 @@ def laplace_vector(sigma: float, size, rng) -> np.ndarray:
     # u = 0 would map to an infinite draw; redraw the (measure-zero) hits.
     while (zeros := u == 0.0).any():
         u[zeros] = rng.random(int(zeros.sum()))
-    return _laplace_from_uniform(sigma, u)
+    u -= 0.5
+    draws = np.sign(u)
+    draws *= -sigma
+    np.abs(u, out=u)
+    u *= -2.0
+    draws *= np.log1p(u, out=u)
+    return draws
 
 
 def _accuracy_thresholds(

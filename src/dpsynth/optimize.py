@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _STATS_BLOCK, Dataset, QueryFamily, _first_occurrences
+from .core import _STATS_BLOCK, Dataset, QueryFamily, _row_groups
 from .distributions import ExplicitDistribution
 
 VALUE_TOL = 1e-9
@@ -81,7 +81,8 @@ def build_lp(
     """Hand the kernel's Boolean table to FitProblem; duplicate domain points share one variable."""
     queries.check_schema(reduced_domain.schema)
     rows = reduced_domain.rows
-    support = Dataset._adopt(reduced_domain.schema, rows[_first_occurrences(rows)])
+    order, first = _row_groups(rows)
+    support = Dataset._adopt(reduced_domain.schema, rows[np.sort(order[first])])
     return FitProblem(
         values=queries.values_matrix(support.rows),
         targets=noisy_targets,

@@ -20,6 +20,7 @@ from dpsynth import (
     bootstrap,
     build_lp,
     deviation_check_empirical,
+    laplace_vector,
     marginal_family,
     privacy_audit,
     reweighted_deviation_check,
@@ -96,6 +97,14 @@ def test_large_sample_holds_one_coordinate_of_uniforms_at_a_time():
     # uniforms and 8 MB of indices. All 24 coordinates' uniforms at once
     # would add 184 MB.
     assert peak <= 42 * MB
+
+
+def test_laplace_vector_peak_is_two_float_arrays():
+    peak = traced_peak(lambda: laplace_vector(1.0, 1_000_000, 3))
+    # Measured 17.8 MB: the 8 MB of uniforms, turned into the inverse CDF's
+    # argument in place, the 8 MB result and 1 MB for the u == 0 mask. Each
+    # step done out of place would hold another 8 MB temporary.
+    assert peak <= 20 * MB
 
 
 def test_privacy_audit_peak_at_a_million_trials():
