@@ -43,10 +43,10 @@ def _binomial_gate(rate: float, trials: int) -> float:
     return rate + 3.0 * math.sqrt(rate / trials)
 
 
-def _trial_rows(dist, trials: int, count: int, queries: QueryFamily, rng):
+def _trial_rows(dist, trials: int, count: int, width: int, rng):
     """Blocks of the trials' rows, a (trials, count, p) array each: one trial, or as many as
-    keep near _STATS_BLOCK cells the rows plus, for Lemma 4 only, their (|F|, rows) table."""
-    step = max(1, _STATS_BLOCK // max(1, count * max(len(dist.schema), len(queries))))
+    keep near _STATS_BLOCK cells when the caller holds ``width`` cells per drawn row."""
+    step = max(1, _STATS_BLOCK // max(1, count * width))
     rng = np.random.default_rng(rng)  # once: each block continues its stream
     for start in range(0, trials, step):
         yield dist._draw(min(step, trials - start), count, rng)
@@ -76,7 +76,7 @@ def deviation_check_empirical(
     threshold_n, _ = _accuracy_thresholds(len(queries), delta, gamma)
     exact = exact_statistics(population, queries)
     failures = 0
-    for block in _trial_rows(population, trials, n, queries, rng):
+    for block in _trial_rows(population, trials, n, len(population.schema), rng):
         for rows in block:
             # Exact counts, summed one kernel block at a time: no (|F|, n) table.
             stats = queries._counts(rows) / n
@@ -124,7 +124,8 @@ def reweighted_deviation_check(
     _, threshold_m = _accuracy_thresholds(len(queries), delta, gamma, kappa)
     failures = 0
     masses = []
-    for block in _trial_rows(sampling, trials, m, queries, rng):
+    width = max(len(sampling.schema), len(queries))  # the rows, and their (|F|, rows) table
+    for block in _trial_rows(sampling, trials, m, width, rng):
         rows = block.reshape(-1, len(sampling.schema))
         table = queries.values_matrix(rows).reshape(len(queries), -1, m)
         den = sampling.mass_many(rows)

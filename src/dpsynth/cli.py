@@ -59,14 +59,16 @@ def _load_text(spec: str) -> str:
     """The UTF-8 text of the file at this path, newlines untranslated; else the argument itself."""
     path = Path(spec)
     try:
-        if path.is_file():
-            return (raw := path.read_bytes()).decode()
-    except OSError:
-        pass
+        if not path.is_file():
+            return spec
+    except OSError:  # not a name a path can have, such as one over 255 bytes: inline text
+        return spec
+    raw = path.read_bytes()  # its errors are the file's, and reach the caller
+    try:
+        return raw.decode()
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"line {line}: spec files must be UTF-8 text") from None
-    return spec
 
 
 def _load_distribution(spec: str, schema=None):

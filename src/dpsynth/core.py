@@ -486,16 +486,6 @@ class QueryFamily:
     def __repr__(self) -> str:
         return f"QueryFamily(size={len(self)})"
 
-    @property
-    def contains_constant_one(self) -> bool:
-        return any(f.is_constant_one for f in self._functions)
-
-    def with_constant_one(self) -> "QueryFamily":
-        """Return a family that starts with the constant-one function."""
-        if self.contains_constant_one:
-            return self
-        return QueryFamily((TestFunction.constant_one(),) + self._functions)
-
     def check_schema(self, schema: Sequence[int]) -> None:
         """Raise ValueError unless every function conforms to the schema."""
         arity = np.asarray(schema)

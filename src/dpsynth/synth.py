@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import Dataset, QueryFamily, evaluate_all
+from .core import Dataset, QueryFamily, TestFunction, evaluate_all
 from .distributions import ExplicitDistribution
 from .mechanism import laplace_vector, privacy_check
 from .optimize import build_lp, solve_min_max
@@ -146,8 +146,9 @@ def generate(
         raise ValueError("empty dataset")
     if sampling.schema != data.schema:
         raise ValueError("sampling distribution schema must match the data schema")
-    constant_added = not queries.contains_constant_one
-    queries = queries.with_constant_one()
+    constant_added = not any(f.is_constant_one for f in queries)
+    if constant_added:
+        queries = QueryFamily((TestFunction.constant_one(), *queries))
     family_size = len(queries)
     n = len(data)
 

@@ -231,18 +231,18 @@ class TestTrialBlocks:
     result equals that of one trial at a time from the same generator."""
 
     def test_deviation_check_equals_one_trial_at_a_time(self):
-        # 8 trials of 100 rows per block at p = 24 and |F| = 301: 19 is not a multiple.
+        # 109 trials of 100 rows per block at p = 24: 250 is not a multiple.
         population = ProductDistribution.uniform((2,) * 24)
         family = marginal_family(24, 2, "monotone")
-        result = deviation_check_empirical(population, family, 100, 0.14, 0.1, 19, 31)
+        result = deviation_check_empirical(population, family, 100, 0.14, 0.1, 250, 31)
         rng = np.random.default_rng(31)
         exact = exact_statistics(population, family)
         failures = sum(
             np.max(np.abs(evaluate_all(family, population.sample(100, rng)) - exact)) > 0.14
-            for _ in range(19)
+            for _ in range(250)
         )
-        assert 0 < failures < 19
-        assert result.failure_rate == failures / 19
+        assert 0 < failures < 250
+        assert result.failure_rate == failures / 250
 
     def test_reweighted_check_equals_one_trial_at_a_time(self, two_point_pair):
         # 209 trials of 625 draws per block at |F| = 2: 420 is not a multiple.

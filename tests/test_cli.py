@@ -608,11 +608,12 @@ def test_full_report_bytes_are_pinned(run, data_file, two_point_nu_file, tmp_pat
     assert report == (PINNED_REPORTS / f"{run}.txt").read_text()
 
 
-# Runs of several trial blocks, pinned from the one-trial-at-a-time loops:
-# lemma3 draws 30 trials of 100 rows at p = 24 in blocks of 8, lemma4 1,000
-# trials of 625 draws in blocks of 209, and dp bins two statistics of two
-# neighbouring datasets, so its cells are two-dimensional. Each run's exit
-# code comes first; the two deviation runs fail in about a third of trials.
+# Runs pinned from the one-trial-at-a-time loops: lemma3 draws 30 trials of
+# 100 rows at p = 24 in one block of up to 109 (any block size gives these
+# bytes), lemma4 1,000 trials of 625 draws in blocks of 209, and dp bins two
+# statistics of two neighbouring datasets, so its cells are two-dimensional.
+# Each run's exit code comes first; the two deviation runs fail in about a
+# third of trials.
 MULTI_BLOCK_RUNS = {
     "lemma3-blocks": (EXIT_GATE, [
         "audit", "lemma3", "--nu", "uniform " + ",".join(["2"] * 24),
@@ -683,3 +684,24 @@ def test_option_numbers_take_ascii_digits_only(option, value, message, data_file
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.endswith(f"error: argument --{option}: {message}\n")
     assert not (tmp_path / "synthetic.txt").exists()
+
+
+def test_spec_file_that_cannot_be_read_exits_with_the_read_error(tmp_path, capsys, monkeypatch):
+    queries = tmp_path / "queries.txt"
+    queries.write_text("marginals monotone d=1\n")
+
+    def refuse(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    argv = [arg.replace("marginals monotone d=1", str(queries)) for arg in PINNED_RUNS["lemma3"]]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{queries}'\n"
+
+
+def test_inline_spec_too_long_to_be_a_file_name_is_read_as_text(capsys):
+    spec = "marginals monotone d=1  # " + "x" * 300  # one line, over 255 bytes
+    argv = [arg.replace("marginals monotone d=1", spec) for arg in PINNED_RUNS["lemma3"]]
+    assert main(argv) == EXIT_OK
+    pinned = (PINNED_REPORTS / "lemma3.txt").read_text()
+    assert capsys.readouterr().out == pinned.replace("d=1\n", f"d=1  # {'x' * 300}\n", 1)

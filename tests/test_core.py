@@ -173,6 +173,7 @@ class TestDataset:
         assert small_dataset == same
         assert small_dataset != Dataset((2, 2, 2), [[0, 0, 0]])
         assert small_dataset != Dataset((2, 2, 3), small_dataset.rows)
+        assert (small_dataset == 5) is False
 
 
 class TestDatasetText:
@@ -220,6 +221,8 @@ class TestDatasetText:
 
     def test_trailing_blank_lines_accepted(self):
         assert Dataset.from_text(b"2,2\n0,1\n\n") == Dataset((2, 2), [[0, 1]])
+        # more than the first 64-byte tail slice of blanks, so the slice doubles
+        assert Dataset.from_text(b"2,2\n0,1\n" + b" \r\n" * 50) == Dataset((2, 2), [[0, 1]])
 
     def test_inner_blank_line_rejected(self):
         with pytest.raises(ValueError, match="line 2: expected comma-separated"):
@@ -525,6 +528,7 @@ class TestTestFunction:
         "kind, coords, assigned, message",
         [
             ("assignment", (0, 1), (1,), "one assigned value per coordinate"),
+            ("assignment", (-1,), (0,), "coordinate indices must be nonnegative"),
             ("monotone", (0,), (0,), "monotone with every value 1"),
             ("bogus", (0,), (1,), "kind must be assignment"),
             ("constant", (0,), (1,), "kind must be assignment"),
@@ -579,18 +583,6 @@ class TestQueryFamily:
         assert len(small_family) == 3
         assert small_family[0].is_constant_one
         assert [f.label() for f in small_family] == ["1", "x1", "x2*x3"]
-
-    def test_contains_constant_one(self, small_family):
-        assert small_family.contains_constant_one
-        bare = QueryFamily([TestFunction.monotone((0,))])
-        assert not bare.contains_constant_one
-
-    def test_with_constant_one_prepends(self):
-        bare = QueryFamily([TestFunction.monotone((0,))])
-        extended = bare.with_constant_one()
-        assert len(extended) == 2
-        assert extended[0].is_constant_one
-        assert extended.with_constant_one() is extended
 
     def test_values_matrix_shape(self, small_family, small_dataset):
         mat = small_family.values_matrix(small_dataset.rows)

@@ -450,6 +450,11 @@ class TestExactStatistics:
         )
         assert np.allclose(exact_statistics(dist, family), brute, atol=1e-14)
 
+    def test_unsupported_distribution_type_rejected(self):
+        family = QueryFamily([TestFunction.constant_one()])
+        with pytest.raises(TypeError, match="unsupported distribution type"):
+            exact_statistics(object(), family)
+
     def test_explicit_distribution_path(self, skewed_pair):
         population, _ = skewed_pair
         family = QueryFamily(

@@ -60,6 +60,24 @@ class TestLaplaceSampling:
         draws = laplace_vector(1e-6, 100_000, np.random.default_rng(9))
         assert np.isfinite(draws).all()
 
+    def test_uniforms_of_exactly_zero_are_redrawn(self):
+        class ZerosFirst(np.random.Generator):
+            """A generator whose first ``random`` call returns some exact zeros."""
+
+            calls = 0
+
+            def random(self, size=None):
+                self.calls += 1
+                u = super().random(size)
+                if self.calls == 1:
+                    u[::100] = 0.0
+                return u
+
+        rng = ZerosFirst(np.random.PCG64(10))
+        draws = laplace_vector(1.0, 1000, rng)
+        assert rng.calls == 2
+        assert np.isfinite(draws).all()
+
 
 # The ledger's sensitivity 2|F|/n and noise scale delta/ln(|F|/gamma), each
 # read from a privacy_check whose other arguments are valid.

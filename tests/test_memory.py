@@ -128,7 +128,7 @@ def test_deviation_check_peak_does_not_grow_with_trials():
     population = ProductDistribution.uniform((2,) * 24)
     family = marginal_family(24, 2, "monotone")
     n = 100
-    block = _STATS_BLOCK // (n * len(family))  # trials per block; the base fills one
+    block = _STATS_BLOCK // (n * len(population.schema))  # trials per block; the base fills one
     base, forty = peaks_at_base_and_forty_times(
         lambda trials: deviation_check_empirical(population, family, n, 0.2, 0.1, trials, 3),
         block,

@@ -128,6 +128,8 @@ class TestFitProblemValidation:
 
     def test_shapes(self):
         support = Dataset((2,), [[0], [1]])
+        with pytest.raises(ValueError, match="values must be a 2-D array"):
+            FitProblem(values=np.ones(3), targets=np.array([0.0]), support=support)
         with pytest.raises(ValueError, match="one column per support point"):
             FitProblem(
                 values=np.array([[1.0]]), targets=np.array([0.0]), support=support

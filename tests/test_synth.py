@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from dpsynth import (
     PipelineConfig,
     PrivacyGateError,
     ProductDistribution,
+    QueryFamily,
+    TestFunction,
     bootstrap,
     evaluate_all,
     generate,
@@ -299,6 +302,16 @@ class TestGenerate:
         result = generate(data, trimmed, sampling, config)
         assert result.report.constant_one_added
         assert result.report.family_size == len(trimmed) + 1
+
+    def test_added_constant_gives_the_release_of_a_family_that_has_it(self, pipeline_inputs):
+        data, family, sampling, config = pipeline_inputs
+        bare = QueryFamily([f for f in family if not f.is_constant_one])
+        added = generate(data, bare, sampling, config)
+        given = generate(data, QueryFamily([TestFunction.constant_one(), *bare]), sampling, config)
+        assert (added.report.constant_one_added, given.report.constant_one_added) == (True, False)
+        assert added.synthetic == given.synthetic
+        unmarked = dataclasses.replace(added.report, constant_one_added=False)
+        assert unmarked.to_text() == given.report.to_text()
 
     def test_privacy_gate_blocks_small_datasets(self, pipeline_inputs):
         data, family, sampling, config = pipeline_inputs
