@@ -528,10 +528,10 @@ class TestTestFunction:
         "kind, coords, assigned, message",
         [
             ("assignment", (0, 1), (1,), "one assigned value per coordinate"),
-            ("assignment", (-1,), (0,), "coordinate indices must be nonnegative"),
             ("monotone", (0,), (0,), "monotone with every value 1"),
             ("bogus", (0,), (1,), "kind must be assignment"),
             ("constant", (0,), (1,), "kind must be assignment"),
+            ("assignment", (-1,), (0,), "coordinate indices must be nonnegative"),
         ],
     )
     def test_malformed_construction_raises(self, kind, coords, assigned, message):
