@@ -95,6 +95,23 @@ def _read_dataset(path: str) -> Dataset:
     return Dataset.from_text(text)
 
 
+def _write_in_place(path: str, mode: str, chunks) -> None:
+    """Write the chunks over the file's old bytes, then cut a regular file to their length.
+
+    Truncating on open frees the old blocks first, which costs more than the
+    write where the filesystem discards them. It is the inode "w" opens, so links,
+    mode and owner behave alike; a failed write leaves its prefix, no old tail.
+    """
+    with open(path, mode, opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as f:
+        try:
+            f.writelines(chunks)
+            f.flush()
+        finally:  # cut where the written bytes end, even when the flush failed
+            fd = f.fileno()
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # not /dev/null or a pipe
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def _cmd_generate(args) -> tuple[str, bool]:
     data = _read_dataset(args.data)
     queries = parse_query_spec(_load_text(args.queries), data.schema)
@@ -111,8 +128,8 @@ def _cmd_generate(args) -> tuple[str, bool]:
         export_noisy_targets=args.export_noisy_targets,
     )
     result = generate(data, queries, sampling, config)
-    with open(args.out, "wb") as out:  # each block is written as it is rendered
-        out.writelines(result.synthetic._text_blocks())
+    # Each block is written as it is rendered.
+    _write_in_place(args.out, "wb", result.synthetic._text_blocks())
     return result.report.to_text(), True
 
 
@@ -239,7 +256,7 @@ def main(argv=None) -> int:
         report, passed = args.func(args)
         text = _render((f"config_{key}", getattr(args, key)) for key in args.echo) + report
         if args.report:
-            Path(args.report).write_text(text)
+            _write_in_place(args.report, "w", [text])
         else:
             sys.stdout.write(text)
     except (PrivacyGateError, FitGateError, ValueError, OSError) as exc:

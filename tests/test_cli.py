@@ -1,5 +1,6 @@
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import dpsynth
-from dpsynth import Dataset, ProductDistribution, optimize
+from dpsynth import Dataset, ProductDistribution, core, optimize
 from dpsynth.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, build_parser, main
 
 
@@ -208,6 +209,101 @@ class TestGenerateCommand:
         captured = capsys.readouterr().out
         assert "config_data = " in captured
         assert "lp_objective = " in captured
+
+
+JUNK = b"#" * (1 << 20)
+
+
+@pytest.fixture
+def release(data_file, tmp_path):
+    """The --out bytes of a run into a file that did not exist."""
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    code, out, _ = run_generate(data_file, fresh)
+    assert code == EXIT_OK
+    return out.read_bytes()
+
+
+class TestOutputFilesAreRewrittenInPlace:
+    def test_longer_old_files_are_cut_to_the_new_bytes(self, data_file, tmp_path):
+        _, out, report = run_generate(data_file, tmp_path)
+        first = (out.read_bytes(), report.read_bytes())
+        for path, text in zip((out, report), first):
+            path.write_bytes(text + JUNK)
+        assert run_generate(data_file, tmp_path)[0] == EXIT_OK
+        assert (out.read_bytes(), report.read_bytes()) == first
+
+    def test_symlinked_out_is_written_through(self, data_file, tmp_path, release):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_bytes(JUNK)
+        link.symlink_to(target)
+        assert main(generate_argv(data_file, link, tmp_path / "report.txt")) == EXIT_OK
+        assert link.is_symlink()
+        assert target.read_bytes() == release
+
+    def test_hard_link_to_out_sees_the_release(self, data_file, tmp_path, release):
+        out, other = tmp_path / "synthetic.txt", tmp_path / "other.txt"
+        out.write_bytes(JUNK)
+        os.link(out, other)
+        assert main(generate_argv(data_file, out, tmp_path / "report.txt")) == EXIT_OK
+        assert other.read_bytes() == release
+
+    def test_out_keeps_its_mode(self, data_file, tmp_path):
+        out = tmp_path / "synthetic.txt"
+        out.write_bytes(JUNK)
+        out.chmod(0o640)
+        assert main(generate_argv(data_file, out, tmp_path / "report.txt")) == EXIT_OK
+        assert out.stat().st_mode & 0o777 == 0o640
+
+    def test_out_may_be_a_device(self, data_file, tmp_path):
+        report = tmp_path / "report.txt"
+        assert main(generate_argv(data_file, "/dev/null", report)) == EXIT_OK
+        assert "config_out = /dev/null\n" in report.read_text()
+
+    def test_out_that_is_a_directory_is_one_error_line(self, data_file, tmp_path, capsys):
+        out, report = tmp_path / "adir", tmp_path / "report.txt"
+        out.mkdir()
+        assert main(generate_argv(data_file, out, report)) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}'\n"
+        assert not report.exists()
+
+    def test_failed_write_leaves_only_the_prefix_handed_over(
+        self, data_file, tmp_path, capsys, monkeypatch, release
+    ):
+        handed = []
+        text_blocks = Dataset._text_blocks
+
+        def fail_after_one_block(self):
+            blocks = text_blocks(self)
+            for piece in (next(blocks), next(blocks)):  # the arity line, then 10 rows
+                handed.append(bytes(piece))
+                yield piece
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(core, "_TEXT_BLOCK", 50)
+        monkeypatch.setattr(Dataset, "_text_blocks", fail_after_one_block)
+        out, report = tmp_path / "synthetic.txt", tmp_path / "report.txt"
+        out.write_bytes(JUNK)
+        assert main(generate_argv(data_file, out, report)) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert out.read_bytes() == b"".join(handed)
+        assert len(out.read_bytes()) < len(release)
+        assert not report.exists()
+
+    def test_write_the_system_refuses_leaves_only_the_prefix_written(
+        self, data_file, tmp_path, release
+    ):
+        """A file size limit of 600 bytes makes the write itself fail part-way."""
+        out, report = tmp_path / "synthetic.txt", tmp_path / "report.txt"
+        out.write_bytes(JUNK)
+        done = run_in_child(
+            generate_argv(data_file, out, report),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (600, 600)),
+        )
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr == b"error: [Errno 27] File too large\n"
+        assert out.read_bytes() == release[:600]
+        assert not report.exists()
 
 
 class TestAuditCommands:

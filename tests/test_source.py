@@ -3,6 +3,9 @@
 Code that only its own tests use gets deleted, so every private function,
 method or class in ``src/dpsynth`` must be used by ``src/`` code outside its
 own definition. A recursive call or an import alone does not count.
+
+Files are written only through ``cli._write_in_place``, which rewrites a file
+in place and cuts it to its new length, so every written file behaves alike.
 """
 
 import ast
@@ -34,8 +37,38 @@ def references(tree: ast.Module):
             yield node.attr, node.lineno
 
 
+def source_trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def file_writes(tree: ast.Module):
+    """(line, call) of each call in the module that may write a file:
+    ``write_text``, ``write_bytes``, ``os.open``, and ``open(file, mode)`` or
+    ``path.open(mode)`` with a mode that is not a literal read mode."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            mode = node.args[1:2]
+        elif not isinstance(func, ast.Attribute):
+            continue
+        elif func.attr in ("write_text", "write_bytes") or (
+            func.attr == "open" and isinstance(func.value, ast.Name) and func.value.id == "os"
+        ):
+            yield node.lineno, func.attr
+            continue
+        elif func.attr == "open":
+            mode = node.args[0:1]
+        else:
+            continue
+        mode = [k.value for k in node.keywords if k.arg == "mode"] or mode
+        if mode and not (isinstance(mode[0], ast.Constant) and set(str(mode[0].value)) <= set("rbt")):
+            yield node.lineno, "open"
+
+
 def test_every_private_helper_has_a_caller_in_src():
-    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    trees = source_trees()
     used = {}
     for module, tree in trees.items():
         for name, line in references(tree):
@@ -50,3 +83,19 @@ def test_every_private_helper_has_a_caller_in_src():
         if all(where == module and first <= line <= last for where, line in used.get(name, []))
     ]
     assert unused == [], f"private helpers with no caller in src/: {unused}"
+
+
+def test_files_are_written_only_through_the_in_place_writer():
+    writers, outside = [], []
+    for module, tree in source_trees().items():
+        spans = [
+            (node.lineno, node.end_lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_write_in_place"
+        ]
+        writers += [f"{module}:{first}" for first, _ in spans]
+        outside += [
+            f"{module}:{line} {call}" for line, call in file_writes(tree)
+            if not any(first <= line <= last for first, last in spans)
+        ]
+    assert len(writers) == 1, f"one _write_in_place expected, found {writers}"
+    assert outside == [], f"files written outside _write_in_place: {outside}"
